@@ -56,6 +56,7 @@ from .scheme_rs import (
     SharedSecret,
     SuffixBlock,
     assemble_staircase,
+    dense_key_equation,
     l_entry_map,
     rs_make_suffix,
     rs_run_session,

@@ -302,8 +302,3 @@ def get_field(name: str) -> Field:
         return GF2Field(q.bit_length() - 1)
     return PrimeField(q)
 
-
-def field_from_spec(spec: FieldSpec) -> Field:
-    if spec.kind == "binary-extension":
-        return GF2Field(spec.order.bit_length() - 1, spec.poly)
-    return PrimeField(spec.order)

@@ -12,13 +12,18 @@ packet kinds through separate channels:
   ``(L_k | dummy 0 | 0 | I)``, whose width grows with the stage.
 
 The decoder extracts column bases of both stacked observations (the
-trailing identity columns are independent with overwhelming probability),
-expresses the rest in those bases, and assembles one linear key equation
-over the unknown message and suffix entries; a unique solution decodes the
-message.  Positional bookkeeping of the dummy padding is the delicate
-part: the same index map drives the staircase assembly, the deletion of
-dummy columns from the middle block, and the column order of the parity
-block.
+trailing identity columns are independent with overwhelming probability)
+and expresses the rest in those bases.  Together with the parity rows
+this gives one linear key equation over the unknown message and suffix
+entries; a unique solution decodes the message.  The sink keeps the key
+equation as its block factors and solves it from them: the basis
+expansions pin the non-basis unknowns, each basis suffix unknown sits
+alone in one parity row, and what remains is a system in the basis
+message unknowns only.  The dense matrix B is built only by
+``dense_key_equation``, the oracle behind ``validate`` and the tests.
+Positional bookkeeping of the dummy padding is the delicate part: the same
+index map drives the staircase assembly, the dummy-slot constraints, and
+the scatter of suffix unknowns into parity rows.
 """
 
 from __future__ import annotations
@@ -81,6 +86,7 @@ class SharedSecret:
         self.params = params
         self._rng = rng
         self._stages: list[tuple[np.ndarray, np.ndarray]] = []
+        self._parity: list[np.ndarray] = []
 
     @classmethod
     def from_symbols(cls, field: Field, params: RsParams,
@@ -114,9 +120,12 @@ class SharedSecret:
         return sum(2 * d.size for d, _ in self._stages)
 
     def parity_matrix(self, k: int) -> np.ndarray:
-        """D_k with entry (i, j) = (d_i)^(j+1), j < n*b."""
-        d_pts, _ = self.stage(k)
-        return linalg.vandermonde(self.field, d_pts, self.params.n * self.params.b).T
+        """D_k with entry (i, j) = (d_i)^(j+1), j < n*b; built once per stage."""
+        while len(self._parity) < k:
+            d_pts, _ = self.stage(len(self._parity) + 1)
+            self._parity.append(
+                linalg.vandermonde(self.field, d_pts, self.params.n * self.params.b).T)
+        return self._parity[k - 1]
 
     def stacked_parity(self, i: int) -> np.ndarray:
         return np.vstack([self.parity_matrix(k) for k in range(1, i + 1)])
@@ -208,36 +217,13 @@ class RsEncoder:
         return x_i, a_i
 
 
-class _OnlineBasis:
-    """Incremental independence test over field vectors (row echelon)."""
-
-    def __init__(self, field: Field):
-        self.field = field
-        self.rows: list[np.ndarray] = []
-        self.pivots: list[int] = []
-
-    def add(self, v: np.ndarray) -> bool:
-        f = self.field
-        v = np.asarray(v).astype(np.int64, copy=True)
-        for row, p in zip(self.rows, self.pivots):
-            if v[p]:
-                v = f.sub(v, f.mul(v[p], row))
-        nz = np.nonzero(v)[0]
-        if nz.size == 0:
-            return False
-        p = int(nz[0])
-        self.rows.append(f.mul(v, f.inv(v[p])))
-        self.pivots.append(p)
-        return True
-
-
 @dataclass
 class KeyEquation:
-    """Assembled decode system B v = rhs plus the bookkeeping needed to
-    solve it and to reassemble the message from a solution."""
+    """The decode system B v = rhs kept as its block factors: the basis
+    expansions of both observation stacks, the column-permuted parity
+    staircase and its targets, plus the bookkeeping needed to solve it and
+    to reassemble the message (``dense_key_equation`` builds B itself)."""
 
-    b_mat: np.ndarray
-    rhs: np.ndarray
     stage: int
     r: int
     r_bar: int
@@ -255,10 +241,8 @@ class KeyEquation:
     f_a: np.ndarray
     yp: np.ndarray
     jp: np.ndarray
-
-    @property
-    def n_unknowns(self) -> int:
-        return self.b_mat.shape[1]
+    parity: np.ndarray           # stacked D, columns in the x_col_order layout
+    targets: np.ndarray          # stacked h
 
 
 class RsSinkState:
@@ -312,37 +296,35 @@ class RsSinkState:
         forced basis part, greedily complete the basis from the leading
         columns, and express the remaining columns in that basis.
 
+        One Gauss-Jordan pass over (forced columns, then the scan order)
+        does all three: its pivot columns are the greedy in-order basis and
+        its reduced non-pivot columns are the expansion coefficients.
         Returns None when the rows cannot support the forced basis yet."""
-        f = self.field
-        rows = linalg.independent_row_indices(f, mat)
+        rows = linalg.independent_row_indices(self.field, mat)
         r = len(rows)
         if r < ident_cols:
             return None
         sel_rows = mat[rows]
-        forced = sel_rows[:, scan_limit:]
-        basis = _OnlineBasis(f)
-        if not all(basis.add(forced[:, j]) for j in range(ident_cols)):
+        order = np.arange(scan_limit) if scan_order is None else np.asarray(scan_order)
+        work = sel_rows[:, np.concatenate([np.arange(scan_limit, scan_limit + ident_cols),
+                                           order])]
+        pivots = linalg._gauss_jordan(self.field, work, work.shape[1])
+        if pivots[:ident_cols] != list(range(ident_cols)):
             return None  # trailing identity image degenerate this stage
-        order = range(scan_limit) if scan_order is None else scan_order
-        chosen: list[int] = []
-        for c in order:
-            if len(chosen) == r - ident_cols:
-                break
-            if basis.add(sel_rows[:, c]):
-                chosen.append(c)
-        if len(chosen) < r - ident_cols:
-            raise AssertionError("column rank bookkeeping broken")
-        rest = [c for c in range(scan_limit) if c not in set(chosen)]
-        basis_mat = np.hstack([sel_rows[:, chosen], forced])
-        inv = linalg.rref_with_transform(f, basis_mat).transform
-        coef = f.matmul(inv, sel_rows[:, rest])
+        chosen = [int(order[c - ident_cols]) for c in pivots[ident_cols:]]
+        rest = sorted(set(range(scan_limit)) - set(chosen))
+        where = np.empty(scan_limit, dtype=np.int64)
+        where[order] = np.arange(ident_cols, ident_cols + scan_limit)
+        reduced = work[:, where[rest]]
+        # pivot rows come forced-first; the basis is ordered chosen-first
+        coef = np.vstack([reduced[ident_cols:], reduced[:ident_cols]])
         return sel_rows, r, chosen, rest, coef
 
     def build_key_equation(self, scan_order_long=None, scan_order_short=None
                            ) -> KeyEquation | None:
-        """Assemble B and the right-hand side; None while the observations
-        cannot support the required identity-column bases."""
-        f = self.field
+        """Extract both column bases and collect the key equation's block
+        factors; None while the observations cannot support the required
+        identity-column bases."""
         p = self.params
         i = self.stage
         if i == 0:
@@ -357,157 +339,167 @@ class RsSinkState:
             return None
         jp, r_bar, sel_j, rest_j, coef_j = short_side
 
-        b, n, m, sigma = p.b, p.n, p.m, p.sigma
-        isig = i * sigma
-        beta = n + b - r
-        gamma = i * (m + sigma) - r_bar
-        t_hat = yp[:, n:]
-        t_bar_hat = jp[:, i * m:]
-        f_z, f_x = coef_y[: r - b], coef_y[r - b:]
-        f_e, f_a = coef_j[: r_bar - isig], coef_j[r_bar - isig:]
-
-        # top block: for each remaining long column, its basis expansion
-        # cross-multiplied by t_hat
-        left = f.neg(f.mul(f_z.T[:, None, :, None], t_hat[None, :, None, :]))
-        b_top = np.hstack([
-            left.reshape(beta * r, (r - b) * b),
-            np.kron(linalg.eye(beta), t_hat),
-        ])
-
-        # middle block, then dummy-slot columns deleted
-        left = f.neg(f.mul(f_e.T[:, None, :, None], t_bar_hat[None, :, None, :]))
-        b_mid = np.hstack([
-            left.reshape(gamma * r_bar, (r_bar - isig) * isig),
-            np.kron(linalg.eye(gamma), t_bar_hat),
-        ])
-        lmap = l_entry_map(i, m, sigma)
-        l_col_order = list(sel_j) + list(rest_j)
-        slot_idx = np.concatenate([lmap[c] for c in l_col_order]) if l_col_order else \
-            np.empty(0, dtype=np.int64)
-        kept_mask = slot_idx >= 0
-        l_kept_idx = slot_idx[kept_mask]
-        b_mid = b_mid[:, kept_mask]
-
-        # bottom block: parity staircase with columns following the basis
-        # permutations and the kept suffix slots
+        b, n = p.b, p.n
+        isig = i * p.sigma
         x_col_order = list(sel_y) + list(rest_y)
-        stacked_d = self.secret.stacked_parity(i)
-        xperm = np.concatenate([np.arange(c * b, (c + 1) * b) for c in x_col_order])
-        alpha_tot = p.alpha_total(i)
-        b_bot_l = linalg.zeros(alpha_tot, alpha_tot)
-        b_bot_l[l_kept_idx, np.arange(alpha_tot)] = 1
-        b_bot = np.hstack([stacked_d[:, xperm], b_bot_l])
-
-        nb = n * b
-        b_mat = np.vstack([
-            np.hstack([b_top, linalg.zeros(beta * r, alpha_tot)]),
-            np.hstack([linalg.zeros(gamma * r_bar, nb), b_mid]),
-            b_bot,
-        ])
-        rhs = np.concatenate([
-            linalg.vectorize(f.matmul(t_hat, f_x)),
-            linalg.vectorize(f.matmul(t_bar_hat, f_a)),
-            self.secret.stacked_targets(i),
-        ])
+        l_col_order = list(sel_j) + list(rest_j)
+        lmap = l_entry_map(i, p.m, p.sigma)
+        slot_idx = lmap[l_col_order].reshape(-1)
+        kept_mask = slot_idx >= 0
+        xperm = (b * np.asarray(x_col_order)[:, None] + np.arange(b)).reshape(-1)
         return KeyEquation(
-            b_mat=b_mat, rhs=rhs, stage=i, r=r, r_bar=r_bar, beta=beta, gamma=gamma,
+            stage=i, r=r, r_bar=r_bar, beta=n + b - r, gamma=i * (p.m + p.sigma) - r_bar,
             x_col_order=x_col_order, l_col_order=l_col_order,
-            kept_mask=kept_mask, l_kept_idx=l_kept_idx,
-            t_hat=t_hat, t_bar_hat=t_bar_hat,
-            f_z=f_z, f_x=f_x, f_e=f_e, f_a=f_a, yp=yp, jp=jp,
+            kept_mask=kept_mask, l_kept_idx=slot_idx[kept_mask],
+            t_hat=yp[:, n:], t_bar_hat=jp[:, i * p.m:],
+            f_z=coef_y[: r - b], f_x=coef_y[r - b:],
+            f_e=coef_j[: r_bar - isig], f_a=coef_j[r_bar - isig:],
+            yp=yp, jp=jp,
+            parity=self.secret.stacked_parity(i)[:, xperm],
+            targets=self.secret.stacked_targets(i),
         )
 
     def try_decode(self, ke: KeyEquation | None = None) -> DecodeResult:
-        """Solve the key equation, exploiting that the top and middle
-        blocks pin the non-basis unknowns as affine functions of the basis
-        ones; the reduced core plus dummy-slot constraints is solved
-        exactly, and the full equation is re-verified on success."""
+        """Solve the key equation from its blocks.
+
+        With X = (X_a | X_b) and L = (L_a | L_b) split at the basis columns,
+        the long and short expansions give X_b = X_a F_z + F_x and
+        L_b = L_a F_e + F_a (t_hat and t_bar_hat have full column rank), and
+        each basis suffix unknown sits alone in its parity row, so
+        l_a = c - A_x x_a.  What remains is one equation per L_b slot:
+        the parity rows of the kept slots and zero on the dummy slots, in
+        the b(r-b) unknowns of x_a only.  A solution is re-verified against
+        the three block equations before it is accepted."""
         f = self.field
         p = self.params
         if ke is None:
             ke = self.build_key_equation()
         if ke is None:
             return DecodeResult(Decode.NEED_MORE)
-        b, n, sigma = p.b, p.n, p.sigma
-        i = ke.stage
-        isig = i * sigma
-        r, r_bar, beta, gamma = ke.r, ke.r_bar, ke.beta, ke.gamma
-        nb = n * b
-        alpha_tot = p.alpha_total(i)
+        b = p.b
+        isig = ke.stage * p.sigma
+        r, r_bar, gamma = ke.r, ke.r_bar, ke.gamma
         theta_a = b * (r - b)
-
         n_basis_slots = (r_bar - isig) * isig
         kept_a = ke.kept_mask[:n_basis_slots]
         kept_b = ke.kept_mask[n_basis_slots:]
         la_cnt = int(kept_a.sum())
+        rows_a = ke.l_kept_idx[:la_cnt]      # parity row of each basis suffix unknown
+        rows_b = ke.l_kept_idx[la_cnt:]      # and of each kept non-basis one
 
-        b_bot = ke.b_mat[beta * r + gamma * r_bar:]
-        s_xa = b_bot[:, :theta_a]
-        s_xb = b_bot[:, theta_a:nb]
-        s_la = b_bot[:, nb: nb + la_cnt]
-        s_lb = b_bot[:, nb + la_cnt:]
+        # parity rows as affine maps of x_a, [coefficients | constant]:
+        # D x = D_a x_a + D_b vec(X_a F_z + F_x), where D_b vec(X_a F_z) is
+        # one F_z product over D_b's columns regrouped by X_b column
+        d_a, d_b = ke.parity[:, :theta_a], ke.parity[:, theta_a:]
+        alpha_tot = ke.parity.shape[0]
+        d_b_fz = f.matmul(ke.f_z, d_b.reshape(alpha_tot, ke.beta, b).transpose(1, 0, 2)
+                          .reshape(ke.beta, alpha_tot * b))
+        a_x = f.add(d_a, d_b_fz.reshape(r - b, alpha_tot, b).transpose(1, 0, 2)
+                    .reshape(alpha_tot, theta_a))
+        c = f.sub(ke.targets, f.matmul(d_b, linalg.vectorize(ke.f_x)[:, None])[:, 0])
+        # l = c - A_x x_a on every kept slot
+        l_aff = np.hstack([f.neg(a_x), c[:, None]])
 
-        m_x = np.kron(ke.f_z.T, linalg.eye(b))             # (beta*b) x theta_a
-        m_l = np.kron(ke.f_e.T, linalg.eye(isig))          # (gamma*isig) x n_basis_slots
-        m_l = m_l[:, kept_a]                               # dummy basis slots are zero
-        vec_fx = linalg.vectorize(ke.f_x)
-        vec_fa = linalg.vectorize(ke.f_a)
-
-        core = np.vstack([
-            np.hstack([f.add(s_xa, f.matmul(s_xb, m_x)),
-                       f.add(s_la, f.matmul(s_lb, m_l[kept_b]))]),
-            np.hstack([linalg.zeros(int((~kept_b).sum()), theta_a), m_l[~kept_b]]),
-        ])
-        core_rhs = np.concatenate([
-            f.sub(ke.rhs[beta * r + gamma * r_bar:],
-                  f.add(f.matmul(s_xb, vec_fx[:, None])[:, 0],
-                        f.matmul(s_lb, vec_fa[kept_b][:, None])[:, 0])),
-            f.neg(vec_fa[~kept_b]),
-        ])
-        out = linalg.solve_exact(f, core, core_rhs)
+        # vec(L_a) with its dummy slots zero, pushed through vec(Z) -> vec(Z F_e)
+        la_aff = linalg.zeros(n_basis_slots, theta_a + 1)
+        la_aff[kept_a] = l_aff[rows_a]
+        lb_aff = f.matmul(ke.f_e.T, la_aff.reshape(r_bar - isig, isig * (theta_a + 1)))
+        lb_aff = lb_aff.reshape(gamma * isig, theta_a + 1)
+        lb_aff[:, theta_a] = f.add(lb_aff[:, theta_a], linalg.vectorize(ke.f_a))
+        # ... must equal the parity value on kept slots and zero on dummy ones
+        want = linalg.zeros(gamma * isig, theta_a + 1)
+        want[kept_b] = l_aff[rows_b]
+        diff = f.sub(lb_aff, want)
+        out = linalg.solve_exact(f, diff[:, :theta_a], f.neg(diff[:, theta_a]))
         if out.status is SolveStatus.NO_SOLUTION:
             return DecodeResult(Decode.NEED_MORE)
         if out.status is SolveStatus.MULTIPLE:
             return DecodeResult(Decode.FAILURE)
 
-        x_a = out.solution[:theta_a]
-        l_a = out.solution[theta_a:]
-        x_b = f.add(vec_fx, f.matmul(m_x, x_a[:, None])[:, 0])
-        l_b_full = f.add(vec_fa, f.matmul(m_l, l_a[:, None])[:, 0])
-        v_full = np.concatenate([x_a, x_b, l_a, l_b_full[kept_b]])
-        if not np.array_equal(f.matmul(ke.b_mat, v_full[:, None])[:, 0], ke.rhs):
+        x_a = linalg.devectorize(out.solution, b, r - b)
+        x_b = f.add(f.matmul(x_a, ke.f_z), ke.f_x)
+        l_a = np.zeros(n_basis_slots, dtype=np.int64)
+        l_a[kept_a] = f.matmul(l_aff[rows_a], np.append(out.solution, 1)[:, None])[:, 0]
+        l_a = linalg.devectorize(l_a, isig, r_bar - isig)
+        l_b = f.add(f.matmul(l_a, ke.f_e), ke.f_a)
+        if not _blocks_hold(f, ke, x_a, x_b, l_a, l_b):
             raise AssertionError("key equation bookkeeping inconsistent with solution")
 
-        w_hat = linalg.zeros(b, n)
-        for t, col in enumerate(ke.x_col_order):
-            if t < r - b:
-                w_hat[:, col] = x_a[t * b: (t + 1) * b]
-            else:
-                v = t - (r - b)
-                w_hat[:, col] = x_b[v * b: (v + 1) * b]
+        w_hat = linalg.zeros(b, p.n)
+        w_hat[:, ke.x_col_order] = np.hstack([x_a, x_b])
         return DecodeResult(Decode.DECODED, w=w_hat)
+
+
+def _blocks_hold(f: Field, ke: KeyEquation, x_a, x_b, l_a, l_b) -> bool:
+    """The three block equations of B v = rhs for v = (X_a, X_b, L_a, L_b):
+    D x + l = h, t_hat (X_b - X_a F_z) = t_hat F_x, and
+    t_bar_hat (L_b - L_a F_e) = t_bar_hat F_a with the dummy slots zero."""
+    l_slots = np.concatenate([linalg.vectorize(l_a), linalg.vectorize(l_b)])
+    if np.any(l_slots[~ke.kept_mask]):
+        return False
+    l_sfx = np.zeros(ke.parity.shape[0], dtype=np.int64)
+    l_sfx[ke.l_kept_idx] = l_slots[ke.kept_mask]
+    x = linalg.vectorize(np.hstack([x_a, x_b]))
+    return (np.array_equal(f.add(f.matmul(ke.parity, x[:, None])[:, 0], l_sfx), ke.targets)
+            and np.array_equal(f.matmul(ke.t_hat, f.sub(x_b, f.matmul(x_a, ke.f_z))),
+                               f.matmul(ke.t_hat, ke.f_x))
+            and np.array_equal(f.matmul(ke.t_bar_hat, f.sub(l_b, f.matmul(l_a, ke.f_e))),
+                               f.matmul(ke.t_bar_hat, ke.f_a)))
+
+
+def dense_key_equation(ke: KeyEquation, secret: SharedSecret) -> tuple[np.ndarray, np.ndarray]:
+    """Assemble the dense key equation (B, rhs) over v = (x, l) in the
+    permuted, dummy-deleted layout of ``truth_vector`` (validation and
+    testing oracle; the decoder never builds it)."""
+    f = secret.field
+    p = secret.params
+    b, isig = p.b, ke.stage * p.sigma
+    r, r_bar, beta, gamma = ke.r, ke.r_bar, ke.beta, ke.gamma
+    alpha_tot, nb = ke.parity.shape
+
+    # top block: for each remaining long column, its basis expansion
+    # cross-multiplied by t_hat
+    left = f.neg(f.mul(ke.f_z.T[:, None, :, None], ke.t_hat[None, :, None, :]))
+    b_top = np.hstack([
+        left.reshape(beta * r, (r - b) * b),
+        np.kron(linalg.eye(beta), ke.t_hat),
+    ])
+    # middle block, then dummy-slot columns deleted
+    left = f.neg(f.mul(ke.f_e.T[:, None, :, None], ke.t_bar_hat[None, :, None, :]))
+    b_mid = np.hstack([
+        left.reshape(gamma * r_bar, (r_bar - isig) * isig),
+        np.kron(linalg.eye(gamma), ke.t_bar_hat),
+    ])[:, ke.kept_mask]
+    # bottom block: parity staircase beside a permutation placing each kept
+    # suffix unknown in its parity row
+    b_bot_l = linalg.zeros(alpha_tot, alpha_tot)
+    b_bot_l[ke.l_kept_idx, np.arange(alpha_tot)] = 1
+    b_mat = np.vstack([
+        np.hstack([b_top, linalg.zeros(beta * r, alpha_tot)]),
+        np.hstack([linalg.zeros(gamma * r_bar, nb), b_mid]),
+        np.hstack([ke.parity, b_bot_l]),
+    ])
+    rhs = np.concatenate([
+        linalg.vectorize(f.matmul(ke.t_hat, ke.f_x)),
+        linalg.vectorize(f.matmul(ke.t_bar_hat, ke.f_a)),
+        ke.targets,
+    ])
+    return b_mat, rhs
 
 
 def truth_vector(ke: KeyEquation, msg: SourceMessage,
                  suffixes: list[SuffixBlock]) -> np.ndarray:
     """Assemble the ground-truth unknown vector in the key equation's
     permuted, dummy-deleted layout (testing and validation helper)."""
-    b = msg.b
     x_parts = [msg.w[:, c] for c in ke.x_col_order]
     i = ke.stage
-    sigma = suffixes[0].script_l.shape[0]
     m = suffixes[0].script_l.shape[1]
     l_parts = []
     for c in ke.l_col_order:
         for k in range(1, i + 1):
             if c < k * m:
                 l_parts.append(suffixes[k - 1].script_l[:, c])
-    r = ke.r
-    n_basis = r - b
-    x_a = np.concatenate(x_parts[:n_basis]) if n_basis else np.empty(0, dtype=np.int64)
-    x_b = np.concatenate(x_parts[n_basis:])
-    l_all = np.concatenate(l_parts) if l_parts else np.empty(0, dtype=np.int64)
-    return np.concatenate([x_a, x_b, l_all])
+    return np.concatenate(x_parts + l_parts)
 
 
 def rs_run_session(field: Field, params: RsParams, msg: SourceMessage,
@@ -595,5 +587,6 @@ def _validate_key_equation(field, params, msg, encoder, sink, ke, trace):
     m_tot = sum(m for m, _ in trace)
     if b_tot <= m_tot:
         v = truth_vector(ke, msg, encoder.suffixes)
-        if not np.array_equal(f.matmul(ke.b_mat, v[:, None])[:, 0], ke.rhs):
+        b_mat, rhs = dense_key_equation(ke, sink.secret)
+        if not np.array_equal(f.matmul(b_mat, v[:, None])[:, 0], rhs):
             raise AssertionError("ground truth does not satisfy the key equation")

@@ -2,10 +2,13 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ratelessnc.channel import AdversaryStrategy, MatrixChannel, StageParams
 from ratelessnc.field import get_field
-from ratelessnc.linalg import mat_mul, rank, vectorize, zeros
+from ratelessnc.harness import build_config, run_experiment
+from ratelessnc.linalg import SolveStatus, devectorize, mat_mul, rank, solve_exact, vectorize, zeros
 from ratelessnc.records import Decode
 from ratelessnc.scheme_rs import (
     RsEncoder,
@@ -13,6 +16,7 @@ from ratelessnc.scheme_rs import (
     RsSinkState,
     SharedSecret,
     assemble_staircase,
+    dense_key_equation,
     l_entry_map,
     rs_make_suffix,
     rs_run_session,
@@ -223,11 +227,12 @@ def test_key_equation_shapes_and_truth(gf16):
         if ke is None:
             continue
         hits += 1
-        assert ke.b_mat.shape[0] == ke.beta * ke.r + ke.gamma * ke.r_bar + alpha_tot
-        assert ke.b_mat.shape[1] == p.n * p.b + alpha_tot
+        b_mat, rhs = dense_key_equation(ke, secret)
+        assert b_mat.shape[0] == ke.beta * ke.r + ke.gamma * ke.r_bar + alpha_tot
+        assert b_mat.shape[1] == p.n * p.b + alpha_tot
         # cut set held (3 + 3 <= 8): ground truth satisfies the equation
         v = truth_vector(ke, msg, enc.suffixes)
-        assert np.array_equal(mat_mul(gf16, ke.b_mat, v[:, None])[:, 0], ke.rhs)
+        assert np.array_equal(mat_mul(gf16, b_mat, v[:, None])[:, 0], rhs)
     assert hits >= 18
 
 
@@ -417,6 +422,76 @@ def test_validate_mode_passes_clean_sessions(gf16):
     rec = rs_run_session(gf16, p, msg, secret, zip(ls, ss),
                          uniform(gf16), uniform(gf16), rng, validate=True)
     assert rec.outcome == "decoded" and rec.correct
+
+
+def test_validate_mode_full_rank_long_side():
+    # the long observations reach r = n + b (beta = 0) at the cut-set
+    # stage; validation must not trip over the empty non-basis part
+    cfg = build_config(dict(
+        scheme="random-secret", field="gf2_16", b=2, n=2, sigma=1, m="auto", trials=1, seed=1,
+        stages={"kind": "fixed", "schedule": [{"M": 2, "z": 1}]},
+        short_stages={"kind": "fixed", "schedule": [{"M": 3, "z": 1}]},
+        validate=True,
+    ))
+    (rec,), _ = run_experiment(cfg)
+    assert rec.outcome == "decoded" and rec.correct and rec.stages_used == 2
+
+
+_ORACLE_STATUS = {
+    SolveStatus.UNIQUE: Decode.DECODED,
+    SolveStatus.MULTIPLE: Decode.FAILURE,
+    SolveStatus.NO_SOLUTION: Decode.NEED_MORE,
+}
+
+
+@st.composite
+def _stage_pair(draw, sigma):
+    m_long = draw(st.integers(1, 3))
+    z_short = draw(st.integers(0, 1))
+    m_short = sigma + z_short + draw(st.integers(0, 1))
+    return (StageParams(m_long, draw(st.integers(0, m_long - 1)), m_long + draw(st.integers(0, 1))),
+            StageParams(m_short, z_short, m_short))
+
+
+@st.composite
+def _rs_case(draw):
+    field = get_field(draw(st.sampled_from(["prime7", "gf2_4", "prime251", "gf2_16"])))
+    b = draw(st.integers(1, 4))
+    n = draw(st.integers(1, min(3, (field.q - 1) // b)))
+    sigma = draw(st.sampled_from([1, 2]))
+    stages = draw(st.lists(_stage_pair(sigma), min_size=1, max_size=3))
+    cbar = max(lp.c for lp, _ in stages)
+    params = unchecked_params(b=b, n=n, sigma=sigma, m=draw(st.integers(1, 3)), cbar=cbar)
+    adversary = draw(st.sampled_from(["none", "uniform-random", "additive-targeted"]))
+    return field, params, stages, adversary, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_rs_case())
+def test_structured_decode_agrees_with_dense_oracle(case):
+    # whatever the field, shape, hash size (undersized included) and
+    # adversary, solving from the blocks classifies and solves exactly as
+    # the dense key equation does
+    f, p, stages, adversary, seed = case
+    rng = np.random.default_rng(seed)
+    msg = SourceMessage.random(f, p.b, p.n, rng)
+    secret = SharedSecret(f, p, np.random.default_rng([seed, 777]))
+    enc = RsEncoder(f, p, msg, secret)
+    sink = RsSinkState(f, p, secret)
+    chan = MatrixChannel(f, AdversaryStrategy(adversary))
+    for i, (lp, sp) in enumerate(stages, start=1):
+        x_i, a_i = enc.encode_stage(i, lp.c, sp.c, rng)
+        sink.ingest(chan(lp, x_i, rng).Y, chan(sp, a_i, rng).Y)
+        ke = sink.build_key_equation()
+        if ke is None:
+            continue
+        oracle = solve_exact(f, *dense_key_equation(ke, secret))
+        result = sink.try_decode(ke)
+        assert result.status is _ORACLE_STATUS[oracle.status]
+        if result.status is Decode.DECODED:
+            w = zeros(p.b, p.n)
+            w[:, ke.x_col_order] = devectorize(oracle.solution[: p.n * p.b], p.b, p.n)
+            assert np.array_equal(result.w, w)
 
 
 def test_sink_rejects_bad_widths(gf16):
