@@ -39,7 +39,6 @@ from .linalg import (
     SolveStatus,
     devectorize,
     independent_row_indices,
-    mat_mul,
     rank,
     rref_with_transform,
     solve_exact,

@@ -125,9 +125,13 @@ class Field:
             return int(rng.integers(0, self.q))
         return rng.integers(0, self.q, size=shape, dtype=self.dtype)
 
-    def check_range(self, a) -> bool:
+    def check_range(self, a, what: str = "symbols") -> None:
+        """Raise ValueError unless ``a`` holds integers in [0, q)."""
         a = np.asarray(a)
-        return bool(((a >= 0) & (a < self.q)).all())
+        if not np.issubdtype(a.dtype, np.integer):
+            raise ValueError(f"{what} must have an integer dtype, got {a.dtype}")
+        if a.size and (a.min() < 0 or a.max() >= self.q):
+            raise ValueError(f"{what} must lie in [0, {self.q})")
 
     def __repr__(self):
         return f"{type(self).__name__}(q={self.q})"

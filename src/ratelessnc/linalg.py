@@ -1,9 +1,9 @@
 """Dense exact linear algebra over a configured finite field.
 
 Matrices are 2-D numpy int64 arrays of field elements; every routine takes
-the field object first, mirroring how the arithmetic is dispatched.  Besides
-plain products and reduced row echelon form with a recorded transform, this
-module provides:
+the field object first, mirroring how the arithmetic is dispatched (products
+are ``Field.matmul``).  Besides reduced row echelon form with a recorded
+transform, this module provides:
 
 * ``solve_in_row_space`` -- recover the combination matrix S with
   ``S (Y @ D) = H`` and classify the outcome by whether the recovered
@@ -30,11 +30,6 @@ def zeros(rows: int, cols: int) -> np.ndarray:
 
 def eye(n: int) -> np.ndarray:
     return np.eye(n, dtype=np.int64)
-
-
-def mat_mul(field: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact product over the field; raises ValueError on shape mismatch."""
-    return field.matmul(a, b)
 
 
 def _gauss_jordan(field: Field, work: np.ndarray, pivot_limit: int) -> list[int]:
@@ -227,10 +222,6 @@ class IncrementalReducer:
         self._batch()
 
     # -- state ---------------------------------------------------------
-    @property
-    def matrix(self) -> np.ndarray:
-        return self._acc
-
     @property
     def reduced(self) -> np.ndarray:
         return self._reduced

@@ -266,6 +266,8 @@ class RsSinkState:
             raise ValueError(
                 f"short packet width {j_i.shape[1]} != i*(m+sigma) = {i * (p.m + p.sigma)}"
             )
+        self.field.check_range(y_i, "long packet symbols")
+        self.field.check_range(j_i, "short packet symbols")
         self._y_blocks.append(np.asarray(y_i))
         self._j_blocks.append(np.asarray(j_i))
         self.stage = i

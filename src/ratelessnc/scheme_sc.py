@@ -17,7 +17,7 @@ import numpy as np
 
 from . import linalg
 from .field import Field
-from .linalg import IncrementalReducer, SolveStatus
+from .linalg import SolveStatus
 from .records import Decode, DecodeResult, TrialRecord
 
 
@@ -83,25 +83,25 @@ def sc_encode_stage(field: Field, msg: SourceMessage, stage: int, c_i: int,
 
 
 class SinkStateSC:
-    """Accumulated observations and hashes, with a rolling reduction of the
-    growing decode system.
+    """Accumulated observations and hashes, with the hash check kept in the
+    size of its unknowns.
 
-    The decode system is S (Y D) = H for the combination matrix S; its
-    coefficient matrix (Y D)^T grows by a bordered block per stage, so the
-    incremental reducer carries the reduction (and the reduced H) across
-    stages.  A batch mode (incremental=False) is kept for cross-checking.
+    The decode system is S (Y D) = H for the combination matrix S.  Only
+    S Y matters, so the sink keeps Y_b, the independent rows of Y found top
+    to bottom, and G = Y_b D, grown by its bordered blocks each stage; it
+    then solves S' G = H in dimension rank(Y).  The full stacked Y, D and H
+    are kept too, for the dense oracle under ``validate``.
     """
 
-    def __init__(self, field: Field, b: int, n: int, incremental: bool = True):
+    def __init__(self, field: Field, b: int, n: int):
         self.field = field
         self.b = b
         self.n = n
-        self.incremental = incremental
-        self.stage = 0
         self.y = linalg.zeros(0, n + b)
         self.d = linalg.zeros(n + b, 0)
         self.h = linalg.zeros(b, 0)
-        self._reducer: IncrementalReducer | None = None
+        self._yb = self.y
+        self._g = linalg.zeros(0, 0)
 
     def ingest(self, y_i: np.ndarray, secret: SecretStagePayload) -> None:
         f = self.field
@@ -110,66 +110,66 @@ class SinkStateSC:
             raise ValueError(f"observation width {y_i.shape[1]} != n+b = {width}")
         if secret.hashes.shape != (self.b, secret.points.size):
             raise ValueError("hash block does not match its evaluation points")
+        f.check_range(y_i, "observation symbols")
+        f.check_range(secret.points, "evaluation points")
+        f.check_range(secret.hashes, "hash symbols")
         d_i = linalg.vandermonde(f, secret.points, width)
-        if self.incremental:
-            if self._reducer is None:
-                g = f.matmul(y_i, d_i)
-                self._reducer = IncrementalReducer(f, g.T, rhs=secret.hashes.T)
-            else:
-                col_block = f.matmul(y_i, self.d).T          # old hashes, new rows
-                row_block = f.matmul(self.y, d_i).T          # new hashes, old rows
-                corner = f.matmul(y_i, d_i).T
-                self._reducer.update(col_block, row_block, corner,
-                                     rhs_rows=secret.hashes.T)
-        self.y = np.vstack([self.y, y_i])
+        stacked = np.vstack([self._yb, y_i])
+        new_rows = stacked[linalg.independent_row_indices(f, stacked)[self._yb.shape[0]:]]
+        top = np.hstack([self._g, f.matmul(self._yb, d_i)])
         self.d = np.hstack([self.d, d_i])
+        self._g = np.vstack([top, f.matmul(new_rows, self.d)])
+        self._yb = np.vstack([self._yb, new_rows])
+        self.y = np.vstack([self.y, y_i])
         self.h = np.hstack([self.h, secret.hashes])
-        self.stage += 1
 
     def try_decode(self) -> DecodeResult:
-        f = self.field
-        if self.stage == 0:
+        r = self._yb.shape[0]
+        if r < self.b:
             return DecodeResult(Decode.NEED_MORE)
-        rank_y = linalg.rank(f, self.y)
-        if rank_y < self.b:
+        work = np.hstack([self._g.T, self.h.T])
+        rank_g = len(linalg._gauss_jordan(self.field, work, r))
+        if np.any(work[rank_g:, r:]):
             return DecodeResult(Decode.NEED_MORE)
-
-        if self.incremental:
-            red = self._reducer
-            rhs = red.reduced_rhs
-            if np.any(rhs[red.rank:]):
-                return DecodeResult(Decode.NEED_MORE)
-            if red.rank < rank_y:
-                return DecodeResult(Decode.FAILURE)
-            xs_t = linalg.zeros(self.y.shape[0], self.b)
-            xs_t[red.pivot_cols] = rhs[:red.rank]
-            xs = xs_t.T
-        else:
-            out = linalg.solve_in_row_space(f, self.y, self.d, self.h)
-            if out.status is SolveStatus.NO_SOLUTION:
-                return DecodeResult(Decode.NEED_MORE)
-            if out.status is SolveStatus.MULTIPLE:
-                return DecodeResult(Decode.FAILURE)
-            xs = out.solution
-
-        x0_hat = f.matmul(xs, self.y)
-        if not np.array_equal(x0_hat[:, self.n:], linalg.eye(self.b)):
+        if rank_g < r:
             return DecodeResult(Decode.FAILURE)
-        return DecodeResult(Decode.DECODED, w=x0_hat[:, : self.n])
+        # every row of Y_b is a pivot, so the top r rows hold S'^T in order
+        return _accept(self.field.matmul(work[:r, r:].T, self._yb), self.n)
+
+
+def _accept(x0_hat: np.ndarray, n: int) -> DecodeResult:
+    """Decode only when the recovered packets carry the (W | I) identity."""
+    if not np.array_equal(x0_hat[:, n:], linalg.eye(x0_hat.shape[0])):
+        return DecodeResult(Decode.FAILURE)
+    return DecodeResult(Decode.DECODED, w=x0_hat[:, :n])
+
+
+def _dense_decode(sink: SinkStateSC) -> DecodeResult:
+    """What ``try_decode`` must return, solved over every row of Y."""
+    f = sink.field
+    if linalg.rank(f, sink.y) < sink.b:
+        return DecodeResult(Decode.NEED_MORE)
+    out = linalg.solve_in_row_space(f, sink.y, sink.d, sink.h)
+    if out.status is SolveStatus.NO_SOLUTION:
+        return DecodeResult(Decode.NEED_MORE)
+    if out.status is SolveStatus.MULTIPLE:
+        return DecodeResult(Decode.FAILURE)
+    return _accept(f.matmul(out.solution, sink.y), sink.n)
 
 
 def sc_run_session(field: Field, msg: SourceMessage, schedule, channel,
                    rng: np.random.Generator, stage_cap: int = 64,
-                   incremental: bool = True, validate: bool = False,
+                   validate: bool = False,
                    extra_point_every_stage: bool = False) -> TrialRecord:
     """Run one session: encode, transmit, ingest and attempt decode per
     stage until decoded, failed, or the stage cap is hit.
 
     ``schedule`` yields StageParams; ``channel`` maps (params, X, rng) to a
-    StageOutcome.  With validate=True the exact channel decomposition and
-    hash identity are asserted every stage.
+    StageOutcome.  With validate=True the exact channel decomposition, the
+    hash identity and the sink's decode (against a dense solve over all of
+    Y) are asserted every stage.
     """
-    sink = SinkStateSC(field, msg.b, msg.n, incremental=incremental)
+    sink = SinkStateSC(field, msg.b, msg.n)
     trace: list[tuple[int, int]] = []
     outcome = "exhausted"
     correct = False
@@ -192,6 +192,10 @@ def sc_run_session(field: Field, msg: SourceMessage, schedule, channel,
         trace.append((params.M, out.injected_errors(params.z)))
         stages_used = stage
         result = sink.try_decode()
+        if validate:
+            expect = _dense_decode(sink)
+            if result.status is not expect.status or not np.array_equal(result.w, expect.w):
+                raise AssertionError("sink decode disagrees with the dense solve over all of Y")
         if result.status is Decode.DECODED:
             outcome = "decoded"
             correct = bool(np.array_equal(result.w, msg.w))

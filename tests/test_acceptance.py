@@ -12,7 +12,6 @@ from ratelessnc.field import get_field
 from ratelessnc.harness import build_config, emit_outputs, run_experiment
 from ratelessnc.linalg import (
     IncrementalReducer,
-    mat_mul,
     rref_with_transform,
     vandermonde,
     zeros,
@@ -168,7 +167,7 @@ def test_criterion_5_hash_soundness_scaling():
         x_alt = msg.x0.copy()
         x_alt[0] = f.add(x_alt[0], coeffs[t])
         d = vandermonde(f, [int(r1[t])], width)
-        same = np.array_equal(mat_mul(f, x_alt, d), mat_mul(f, msg.x0, d))
+        same = np.array_equal(f.matmul(x_alt, d), f.matmul(msg.x0, d))
         assert same == bool(pass1[t])
 
     assert frac1 <= 0.06, f"single-column forgery rate {frac1:.4f} > 0.06"
@@ -193,7 +192,7 @@ def test_criterion_6_incremental_equals_batch():
             sizes.append((p, s))
         full = f.sample(rng, (sizes[-1][0], sizes[-1][1]))
         x_true = f.sample(rng, (sizes[-1][1], 1))
-        rhs_full = mat_mul(f, full, x_true)
+        rhs_full = f.matmul(full, x_true)
         (p0, s0) = sizes[0]
         red = IncrementalReducer(f, full[:p0, :s0], rhs=rhs_full[:p0])
         for (pa, sa), (pb, sb) in zip(sizes, sizes[1:]):
@@ -204,7 +203,7 @@ def test_criterion_6_incremental_equals_batch():
         same_rref = (np.array_equal(batch.reduced, red.reduced)
                      and batch.pivot_cols == red.pivot_cols)
         same_solution = np.array_equal(red.reduced_rhs,
-                                       mat_mul(f, batch.transform, rhs_full))
+                                       f.matmul(batch.transform, rhs_full))
         # both reductions recover the planted solution when full rank
         if red.rank == full.shape[1]:
             x_rec = zeros(full.shape[1], 1)

@@ -14,7 +14,7 @@ from ratelessnc.channel import (
     sample_transfer,
 )
 from ratelessnc.field import get_field
-from ratelessnc.linalg import mat_mul, rank, rref_with_transform, zeros
+from ratelessnc.linalg import rank, rref_with_transform, zeros
 from ratelessnc.scheme_sc import SourceMessage, sc_run_session
 
 BUTTERFLY = """
@@ -91,7 +91,7 @@ def test_targeted_errors_leave_message_row_space(gf16):
     f = gf16
     rng = np.random.default_rng(6)
     msg = SourceMessage.random(f, 4, 32, rng)
-    x = mat_mul(f, f.sample(rng, (5, 4)), msg.x0)
+    x = f.matmul(f.sample(rng, (5, 4)), msg.x0)
     strategy = AdversaryStrategy("additive-targeted")
     trials = 10_000
     errors = np.vstack([make_errors(f, strategy, 1, 36, x, rng) for _ in range(trials)])
@@ -110,7 +110,7 @@ def test_matrix_channel_decomposition_exact(gf16):
     chan = MatrixChannel(f, AdversaryStrategy("uniform-random"))
     x = f.sample(rng, (5, 20))
     out = chan(StageParams(M=3, z=2, c=5), x, rng)
-    lhs = f.add(mat_mul(f, out.T, x), mat_mul(f, out.Q, out.Z))
+    lhs = f.add(f.matmul(out.T, x), f.matmul(out.Q, out.Z))
     assert np.array_equal(out.Y, lhs)
     assert out.injected_errors(2) == 2
 
@@ -122,7 +122,7 @@ def test_matrix_channel_silent_adversary(gf16):
     x = f.sample(rng, (3, 12))
     out = chan(StageParams(M=2, z=1, c=3), x, rng)
     assert out.Z.shape[0] == 0 and out.Q.shape[1] == 0
-    assert np.array_equal(out.Y, mat_mul(f, out.T, x))
+    assert np.array_equal(out.Y, f.matmul(out.T, x))
     assert out.injected_errors(1) == 0
 
 
@@ -185,7 +185,7 @@ def test_butterfly_transfer_rank(gf16):
         x = f.sample(rng, (2, 4))
         z = f.sample(rng, (1, 4))
         out = hypergraph_transfer(f, g, x, z, rng)
-        lhs = f.add(mat_mul(f, out.T, x), mat_mul(f, out.Q, z))
+        lhs = f.add(f.matmul(out.T, x), f.matmul(out.Q, z))
         assert np.array_equal(out.Y, lhs)
         full += rank(f, out.T) == 2
     assert full >= 990

@@ -10,7 +10,6 @@ from ratelessnc.linalg import (
     devectorize,
     eye,
     independent_row_indices,
-    mat_mul,
     rank,
     rref_with_transform,
     solve_exact,
@@ -59,19 +58,19 @@ def rank_minor_oracle(field, a):
     return 0
 
 
-# -- mat_mul ----------------------------------------------------------------
+# -- Field.matmul -----------------------------------------------------------
 
 def test_matmul_gf7_example(gf7):
     a = np.array([[1, 2], [3, 4]])
     b = np.array([[5], [6]])
-    assert np.array_equal(mat_mul(gf7, a, b), np.array([[3], [4]]))
+    assert np.array_equal(gf7.matmul(a, b), np.array([[3], [4]]))
 
 
 def test_matmul_identity(gf16):
     rng = np.random.default_rng(0)
     a = gf16.sample(rng, (5, 7))
-    assert np.array_equal(mat_mul(gf16, a, eye(7)), a)
-    assert np.array_equal(mat_mul(gf16, eye(5), a), a)
+    assert np.array_equal(gf16.matmul(a, eye(7)), a)
+    assert np.array_equal(gf16.matmul(eye(5), a), a)
 
 
 def test_matmul_associative(gf251, gf16):
@@ -80,17 +79,17 @@ def test_matmul_associative(gf251, gf16):
         a = f.sample(rng, (4, 6))
         b = f.sample(rng, (6, 3))
         c = f.sample(rng, (3, 5))
-        assert np.array_equal(mat_mul(f, mat_mul(f, a, b), c),
-                              mat_mul(f, a, mat_mul(f, b, c)))
+        assert np.array_equal(f.matmul(f.matmul(a, b), c),
+                              f.matmul(a, f.matmul(b, c)))
 
 
 def test_matmul_dimension_mismatch(gf7):
     with pytest.raises(ValueError):
-        mat_mul(gf7, zeros(2, 3), zeros(2, 3))
+        gf7.matmul(zeros(2, 3), zeros(2, 3))
 
 
 def test_matmul_empty_inner(gf16):
-    out = mat_mul(gf16, zeros(3, 0), zeros(0, 4))
+    out = gf16.matmul(zeros(3, 0), zeros(0, 4))
     assert out.shape == (3, 4) and not out.any()
 
 
@@ -111,7 +110,7 @@ def test_rref_zero_matrix(gf7):
 def test_rref_rank_of_product_construction(gf251, gf16):
     rng = np.random.default_rng(2)
     for f in (gf251, gf16):
-        a = mat_mul(f, f.sample(rng, (8, 3)), f.sample(rng, (3, 5)))
+        a = f.matmul(f.sample(rng, (8, 3)), f.sample(rng, (3, 5)))
         assert rank(f, a) == 3
 
 
@@ -129,7 +128,7 @@ def test_rref_transform_is_invertible(gf251):
         a = gf251.sample(rng, (6, 4))
         rr = rref_with_transform(gf251, a)
         assert rank(gf251, rr.transform) == 6
-        assert np.array_equal(mat_mul(gf251, rr.transform, a), rr.reduced)
+        assert np.array_equal(gf251.matmul(rr.transform, a), rr.reduced)
 
 
 def test_rank_product_bound(gf16):
@@ -137,7 +136,7 @@ def test_rank_product_bound(gf16):
     for _ in range(10):
         a = gf16.sample(rng, (5, 4))
         b = gf16.sample(rng, (4, 6))
-        assert rank(gf16, mat_mul(gf16, a, b)) <= min(rank(gf16, a), rank(gf16, b))
+        assert rank(gf16, gf16.matmul(a, b)) <= min(rank(gf16, a), rank(gf16, b))
 
 
 def test_independent_row_indices(gf7):
@@ -160,7 +159,7 @@ def test_solve_in_row_space_no_solution(gf251):
     rng = np.random.default_rng(7)
     y = f.sample(rng, (3, 6))
     dm = f.sample(rng, (6, 8))
-    h = mat_mul(f, f.sample(rng, (2, 3)), mat_mul(f, y, dm))
+    h = f.matmul(f.sample(rng, (2, 3)), f.matmul(y, dm))
     h = f.add(h, np.where(np.arange(8) == 0, 1, 0)[None, :])  # break consistency
     out = solve_in_row_space(f, y, dm, h)
     assert out.status is SolveStatus.NO_SOLUTION
@@ -174,18 +173,18 @@ def test_solve_in_row_space_multiple_when_hash_too_narrow(gf251):
     y = f.sample(rng, (3, 5))
     dm = f.sample(rng, (5, 1))
     x_true = f.sample(rng, (2, 3))
-    h = mat_mul(f, x_true, mat_mul(f, y, dm))
+    h = f.matmul(x_true, f.matmul(y, dm))
     out = solve_in_row_space(f, y, dm, h)
     assert out.status is SolveStatus.MULTIPLE
     # exhibit two distinct solutions of the underlying system
-    g = mat_mul(f, y, dm)
+    g = f.matmul(y, dm)
     s1 = np.array([[int(f.div(int(h[0, 0]), int(g[0, 0]))), 0, 0],
                    [0, int(f.div(int(h[1, 0]), int(g[1, 0]))), 0]])
     s2 = np.array([[0, 0, int(f.div(int(h[0, 0]), int(g[2, 0])))],
                    [int(f.div(int(h[1, 0]), int(g[0, 0]))), 0, 0]])
     for s in (s1, s2):
-        assert np.array_equal(mat_mul(f, s, g), h)
-    assert not np.array_equal(mat_mul(f, s1, y), mat_mul(f, s2, y))
+        assert np.array_equal(f.matmul(s, g), h)
+    assert not np.array_equal(f.matmul(s1, y), f.matmul(s2, y))
 
 
 def test_solve_in_row_space_unique_with_redundant_rows(gf251):
@@ -196,10 +195,10 @@ def test_solve_in_row_space_unique_with_redundant_rows(gf251):
     x0 = f.sample(rng, (2, 6))
     y = np.vstack([x0, x0[0:1]])
     dm = vandermonde(f, f.sample(rng, 13), 6)
-    h = mat_mul(f, x0, dm)
+    h = f.matmul(x0, dm)
     out = solve_in_row_space(f, y, dm, h)
     assert out.status is SolveStatus.UNIQUE
-    assert np.array_equal(mat_mul(f, out.solution, y), x0)
+    assert np.array_equal(f.matmul(out.solution, y), x0)
 
 
 def test_solve_unique_satisfies_system_exactly(gf16):
@@ -208,10 +207,10 @@ def test_solve_unique_satisfies_system_exactly(gf16):
     y = f.sample(rng, (4, 8))
     dm = vandermonde(f, f.sample(rng, 20), 8)
     xs_true = f.sample(rng, (3, 4))
-    h = mat_mul(f, xs_true, mat_mul(f, y, dm))
+    h = f.matmul(xs_true, f.matmul(y, dm))
     out = solve_in_row_space(f, y, dm, h)
     assert out.status is SolveStatus.UNIQUE
-    assert np.array_equal(mat_mul(f, out.solution, mat_mul(f, y, dm)), h)
+    assert np.array_equal(f.matmul(out.solution, f.matmul(y, dm)), h)
 
 
 def test_solve_exact_statuses(gf7):
@@ -330,14 +329,14 @@ def test_incremental_rhs_tracks_transform(gf251):
             red.update(c, b, d, rhs_rows=new_rows)
             rhs_full = np.vstack([rhs_full, new_rows])
         assert red.verify()
-        assert np.array_equal(red.reduced_rhs, mat_mul(f, red.transform, rhs_full))
+        assert np.array_equal(red.reduced_rhs, f.matmul(red.transform, rhs_full))
 
 
 def test_incremental_fallback_still_correct(gf251):
     # rank-deficient accumulated matrix forces the batch fallback
     f = gf251
     rng = np.random.default_rng(17)
-    a = mat_mul(f, f.sample(rng, (6, 2)), f.sample(rng, (2, 4)))  # rank 2 < 4 cols
+    a = f.matmul(f.sample(rng, (6, 2)), f.sample(rng, (2, 4)))  # rank 2 < 4 cols
     red = IncrementalReducer(f, a)
     red.update(f.sample(rng, (6, 2)), f.sample(rng, (3, 4)), f.sample(rng, (3, 2)))
     assert red.fallback_count >= 1
@@ -352,7 +351,7 @@ def test_incremental_solves_growing_system(gf16):
     rng = np.random.default_rng(18)
     x_true = f.sample(rng, (9, 1))
     a_full = f.sample(rng, (13, 9))
-    rhs_full = mat_mul(f, a_full, x_true)
+    rhs_full = f.matmul(a_full, x_true)
     red = IncrementalReducer(f, a_full[:6, :5], rhs=rhs_full[:6])
     splits = [(6, 5), (9, 7), (13, 9)]
     for (p, s), (p2, s2) in zip(splits, splits[1:]):

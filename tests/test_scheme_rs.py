@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from ratelessnc.channel import AdversaryStrategy, MatrixChannel, StageParams
 from ratelessnc.field import get_field
 from ratelessnc.harness import build_config, run_experiment
-from ratelessnc.linalg import SolveStatus, devectorize, mat_mul, rank, solve_exact, vectorize, zeros
+from ratelessnc.linalg import SolveStatus, devectorize, rank, solve_exact, vectorize, zeros
 from ratelessnc.records import Decode
 from ratelessnc.scheme_rs import (
     RsEncoder,
@@ -97,7 +97,7 @@ def test_suffix_frozen_example(gf7):
     sfx = rs_make_suffix(gf7, np.array([1, 2]), secret, 1)
     assert np.array_equal(sfx.l_vec, [5])
     # parity check relation [D I] (w; l) = h holds exactly
-    lhs = gf7.add(mat_mul(gf7, secret.parity_matrix(1), np.array([[1], [2]]))[:, 0],
+    lhs = gf7.add(gf7.matmul(secret.parity_matrix(1), np.array([[1], [2]]))[:, 0],
                   sfx.l_vec)
     assert np.array_equal(lhs, [5])
 
@@ -116,7 +116,7 @@ def test_parity_identity_random(gf16):
     w = gf16.sample(rng, p.n * p.b)
     for k in (1, 2, 3):
         sfx = rs_make_suffix(gf16, w, secret, k)
-        lhs = gf16.add(mat_mul(gf16, secret.parity_matrix(k), w[:, None])[:, 0], sfx.l_vec)
+        lhs = gf16.add(gf16.matmul(secret.parity_matrix(k), w[:, None])[:, 0], sfx.l_vec)
         assert np.array_equal(lhs, secret.stage(k)[1])
         assert sfx.script_l.shape == (p.sigma, k * p.m)
         assert np.array_equal(vectorize(sfx.script_l), sfx.l_vec)
@@ -232,7 +232,7 @@ def test_key_equation_shapes_and_truth(gf16):
         assert b_mat.shape[1] == p.n * p.b + alpha_tot
         # cut set held (3 + 3 <= 8): ground truth satisfies the equation
         v = truth_vector(ke, msg, enc.suffixes)
-        assert np.array_equal(mat_mul(gf16, b_mat, v[:, None])[:, 0], rhs)
+        assert np.array_equal(gf16.matmul(b_mat, v[:, None])[:, 0], rhs)
     assert hits >= 18
 
 
@@ -253,14 +253,14 @@ def test_basis_reconstruction_identities(gf16):
     sel = ke.x_col_order[: ke.r - p.b]
     rest = ke.x_col_order[ke.r - p.b:]
     t_dd = ke.yp[:, sel]
-    mid = gf16.add(mat_mul(gf16, t_dd, ke.f_z), mat_mul(gf16, ke.t_hat, ke.f_x))
+    mid = gf16.add(gf16.matmul(t_dd, ke.f_z), gf16.matmul(ke.t_hat, ke.f_x))
     assert np.array_equal(ke.yp[:, rest], mid)
     # short side analogue
     isig = ke.stage * p.sigma
     sel_j = ke.l_col_order[: ke.r_bar - isig]
     rest_j = ke.l_col_order[ke.r_bar - isig:]
     t_dd_j = ke.jp[:, sel_j]
-    mid_j = gf16.add(mat_mul(gf16, t_dd_j, ke.f_e), mat_mul(gf16, ke.t_bar_hat, ke.f_a))
+    mid_j = gf16.add(gf16.matmul(t_dd_j, ke.f_e), gf16.matmul(ke.t_bar_hat, ke.f_a))
     assert np.array_equal(ke.jp[:, rest_j], mid_j)
 
 
@@ -502,3 +502,23 @@ def test_sink_rejects_bad_widths(gf16):
         sink.ingest(zeros(2, 5), zeros(2, p.m + p.sigma))
     with pytest.raises(ValueError, match="short packet width"):
         sink.ingest(zeros(2, p.n + p.b), zeros(2, 5))
+
+
+@pytest.mark.parametrize("bad", [-1, 1 << 16])
+def test_sink_rejects_out_of_range_symbols(gf16, bad):
+    # GF(2^16) tables would wrap -1 to 65535 silently; the sink refuses it
+    p = std_params()
+    sink = RsSinkState(gf16, p, SharedSecret(gf16, p, np.random.default_rng(24)))
+    y, j = zeros(2, p.n + p.b), zeros(2, p.m + p.sigma)
+    y_bad, j_bad = y.copy(), j.copy()
+    y_bad[1, 3] = bad
+    j_bad[0, 0] = bad
+    with pytest.raises(ValueError, match="long packet symbols"):
+        sink.ingest(y_bad, j)
+    with pytest.raises(ValueError, match="short packet symbols"):
+        sink.ingest(y, j_bad)
+    with pytest.raises(ValueError, match="integer dtype"):
+        sink.ingest(y.astype(float), j)
+    assert sink.stage == 0
+    sink.ingest(y, j)
+    assert sink.stage == 1
