@@ -31,6 +31,7 @@ from .harness import (
     emit_outputs,
     load_config,
     run_experiment,
+    run_session,
 )
 from .linalg import (
     IncrementalReducer,
@@ -58,7 +59,7 @@ from .scheme_rs import (
     dense_key_equation,
     l_entry_map,
     rs_make_suffix,
-    rs_run_session,
+    rs_stages,
     truth_vector,
 )
 from .scheme_sc import (
@@ -66,7 +67,7 @@ from .scheme_sc import (
     SinkStateSC,
     SourceMessage,
     sc_encode_stage,
-    sc_run_session,
+    sc_stages,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

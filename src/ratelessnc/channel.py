@@ -58,6 +58,12 @@ class StageOutcome:
         """Effective adversary min cut for bookkeeping (0 when silent)."""
         return min(declared_z, self.Z.shape[0])
 
+    def check_decomposition(self, field: Field, x: np.ndarray) -> None:
+        """Assert Y = T X + Q Z exactly for the packets X that were sent."""
+        if not np.array_equal(self.Y, field.add(field.matmul(self.T, x),
+                                                field.matmul(self.Q, self.Z))):
+            raise AssertionError("channel decomposition Y = T X + Q Z violated")
+
 
 def sample_transfer(field: Field, params: StageParams, rng: np.random.Generator,
                     retry_cap: int = 64) -> tuple[np.ndarray, np.ndarray]:

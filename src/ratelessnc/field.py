@@ -42,8 +42,6 @@ _DEFAULT_POLY = {
     16: 0b10001000000001011,  # x^16 + x^12 + x^3 + x + 1
 }
 
-_OPS = ("add", "sub", "mul", "div")
-
 
 def _is_prime(n: int) -> bool:
     if n < 2:
@@ -104,12 +102,6 @@ class Field:
         if np.any(np.asarray(b) == 0):
             raise ZeroDivisionError("division by zero field element")
         return self.mul(a, self.inv(b))
-
-    def arith(self, a, b, op: str):
-        """Dispatch one of add/sub/mul/div by name."""
-        if op not in _OPS:
-            raise ValueError(f"unknown field op {op!r}")
-        return getattr(self, op)(a, b)
 
     def pow_int(self, a, k: int):
         """Elementwise a**k for integer k >= 0, with 0**0 defined as 1."""

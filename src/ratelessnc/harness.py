@@ -1,7 +1,9 @@
-"""Experiment driver: config handling, Monte Carlo runs, CSV/JSON output.
+"""Experiment driver: config handling, the session loop shared by both
+schemes, Monte Carlo runs, CSV/JSON output.
 
-Configs are YAML (key-value with nested sections); every stage-parameter
-rule is enforced at load time with an error naming the violated rule.
+Configs are YAML (key-value with nested sections); unknown top-level keys
+and every broken stage-parameter rule are rejected at load time with an
+error naming the key or the rule.
 Trials are deterministic: trial t draws from generators seeded with
 (seed, t), so identical configs produce byte-identical trials.csv, and
 each trial owns its session state outright, so trials could be fanned out
@@ -22,9 +24,9 @@ import yaml
 
 from .channel import AdversaryStrategy, Hypergraph, HypergraphChannel, MatrixChannel, StageParams
 from .field import Field, get_field
-from .records import TrialRecord
-from .scheme_rs import RsParams, SharedSecret, rs_run_session
-from .scheme_sc import SourceMessage, sc_run_session
+from .records import Decode, TrialRecord
+from .scheme_rs import RsParams, SharedSecret, rs_stages
+from .scheme_sc import SourceMessage, sc_stages
 
 _SECRET_STREAM = 0x5EC
 
@@ -153,6 +155,9 @@ def _parse_stage_model(node, label: str):
 # experiment config
 # ---------------------------------------------------------------------------
 
+_CONFIG_KEYS = {"scheme", "field", "b", "n", "trials", "seed", "stage_cap", "adversary",
+                "stages", "channel", "sigma", "m", "short_stages", "validate"}
+
 _SCHEME_ALIASES = {"sc": "secret-channel", "secret-channel": "secret-channel",
                    "rs": "random-secret", "random-secret": "random-secret"}
 
@@ -173,7 +178,6 @@ class ExperimentConfig:
     rs_params: RsParams | None = None
     short_stage_model: FixedStageModel | IidStageModel | None = None
     validate: bool = False
-    sc_extra_point_every_stage: bool = False
 
 
 def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
@@ -194,6 +198,9 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
 
 
 def build_config(raw: dict, base_dir: Path | None = None) -> ExperimentConfig:
+    unknown = sorted(map(str, set(raw) - _CONFIG_KEYS))
+    if unknown:
+        raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
     scheme = _SCHEME_ALIASES.get(str(raw.get("scheme", "")))
     if scheme is None:
         raise ConfigError("scheme must be 'secret-channel' (sc) or 'random-secret' (rs)")
@@ -296,7 +303,6 @@ def build_config(raw: dict, base_dir: Path | None = None) -> ExperimentConfig:
         stage_cap=stage_cap, adversary=adversary, stage_model=stage_model,
         channel_mode=mode, topology=topology, rs_params=rs_params,
         short_stage_model=short_model, validate=bool(raw.get("validate", False)),
-        sc_extra_point_every_stage=bool(raw.get("sc_extra_point_every_stage", False)),
     )
 
 
@@ -321,6 +327,29 @@ def _make_channel(cfg: ExperimentConfig, field: Field):
     return MatrixChannel(field, cfg.adversary)
 
 
+def run_session(stages, msg: SourceMessage, stage_cap: int = 64) -> TrialRecord:
+    """Drive one session's stages until decoded, failed, or the stage cap.
+
+    ``stages`` yields ((min cut, injected errors), DecodeResult) per stage,
+    as ``sc_stages`` and ``rs_stages`` do; no stage past the cap is run.
+    """
+    trace: list[tuple[int, int]] = []
+    outcome = "exhausted"
+    correct = False
+    for cut, result in itertools.islice(stages, stage_cap):
+        trace.append(cut)
+        if result.status is Decode.DECODED:
+            outcome = "decoded"
+            correct = bool(np.array_equal(result.w, msg.w))
+            break
+        if result.status is Decode.FAILURE:
+            outcome = "failure"
+            break
+    rate = msg.b / len(trace) if outcome == "decoded" else 0.0
+    return TrialRecord(trial=0, stages_used=len(trace), outcome=outcome,
+                       correct=correct, rate=rate, stage_trace=trace)
+
+
 def run_trial(cfg: ExperimentConfig, field: Field, trial: int,
               long_channel=None) -> TrialRecord:
     rng = np.random.default_rng([cfg.seed, trial])
@@ -328,17 +357,15 @@ def run_trial(cfg: ExperimentConfig, field: Field, trial: int,
     if long_channel is None:
         long_channel = _make_channel(cfg, field)
     if cfg.scheme == "secret-channel":
-        record = sc_run_session(field, msg, cfg.stage_model.iterate(rng), long_channel,
-                                rng, stage_cap=cfg.stage_cap, validate=cfg.validate,
-                                extra_point_every_stage=cfg.sc_extra_point_every_stage)
+        stages = sc_stages(field, msg, cfg.stage_model.iterate(rng), long_channel, rng,
+                           validate=cfg.validate)
     else:
         secret = SharedSecret(field, cfg.rs_params,
                               np.random.default_rng([cfg.seed, trial, _SECRET_STREAM]))
-        short_channel = MatrixChannel(field, cfg.adversary)
         schedule = zip(cfg.stage_model.iterate(rng), cfg.short_stage_model.iterate(rng))
-        record = rs_run_session(field, cfg.rs_params, msg, secret, schedule,
-                                long_channel, short_channel, rng,
-                                stage_cap=cfg.stage_cap, validate=cfg.validate)
+        stages = rs_stages(field, cfg.rs_params, msg, secret, schedule, long_channel,
+                           MatrixChannel(field, cfg.adversary), rng, validate=cfg.validate)
+    record = run_session(stages, msg, cfg.stage_cap)
     record.trial = trial
     return record
 

@@ -35,7 +35,7 @@ import numpy as np
 from . import linalg
 from .field import Field
 from .linalg import SolveStatus
-from .records import Decode, DecodeResult, TrialRecord
+from .records import Decode, DecodeResult
 from .scheme_sc import SourceMessage
 
 
@@ -504,76 +504,55 @@ def truth_vector(ke: KeyEquation, msg: SourceMessage,
     return np.concatenate(x_parts + l_parts)
 
 
-def rs_run_session(field: Field, params: RsParams, msg: SourceMessage,
-                   secret: SharedSecret, schedule, long_channel, short_channel,
-                   rng: np.random.Generator, stage_cap: int = 64,
-                   validate: bool = False) -> TrialRecord:
-    """Run one random-secret session.
+def rs_stages(field: Field, params: RsParams, msg: SourceMessage,
+              secret: SharedSecret, schedule, long_channel, short_channel,
+              rng: np.random.Generator, validate: bool = False):
+    """Run the stages of one random-secret session, yielding
+    ((long M, injected long z), DecodeResult) per stage.
 
     ``schedule`` yields (long StageParams, short StageParams) pairs; long
-    and short packets traverse independent channel instances.  Rate counts
-    long packets only.  With validate=True the exact channel, parity
-    staircase, basis reconstruction, and ground-truth key equation
-    identities are asserted each stage.
+    and short packets traverse independent channel instances.  The stage
+    trace, and so the rate, counts long packets only.  With validate=True the exact channels, parity staircase, basis
+    reconstruction, and ground-truth key equation identities are asserted
+    each stage.
     """
-    p = params
-    encoder = RsEncoder(field, p, msg, secret)
-    sink = RsSinkState(field, p, secret)
-    trace: list[tuple[int, int]] = []
-    outcome = "exhausted"
-    correct = False
-    stages_used = 0
-
+    encoder = RsEncoder(field, params, msg, secret)
+    sink = RsSinkState(field, params, secret)
+    margin = 0  # sum of M - z over the long stages so far
     for stage, (long_p, short_p) in enumerate(schedule, start=1):
-        if stage > stage_cap:
-            break
-        if short_p.M - short_p.z < p.sigma:
+        if short_p.M - short_p.z < params.sigma:
             raise ValueError(
                 f"short schedule violates sigma <= M_i - z_i at stage {stage}"
             )
         x_i, a_i = encoder.encode_stage(stage, long_p.c, short_p.c, rng)
         out_long = long_channel(long_p, x_i, rng)
         out_short = short_channel(short_p, a_i, rng)
-        sink.ingest(out_long.Y, out_short.Y)
-        trace.append((long_p.M, out_long.injected_errors(long_p.z)))
-        stages_used = stage
         if validate:
-            _validate_stage(field, p, msg, encoder, sink, out_long, x_i, out_short, a_i)
+            out_long.check_decomposition(field, x_i)
+            out_short.check_decomposition(field, a_i)
+            _validate_stage(encoder)
+        sink.ingest(out_long.Y, out_short.Y)
+        z = out_long.injected_errors(long_p.z)
+        margin += long_p.M - z
         ke = sink.build_key_equation()
         if validate and ke is not None:
-            _validate_key_equation(field, p, msg, encoder, sink, ke, trace)
-        result = sink.try_decode(ke)
-        if result.status is Decode.DECODED:
-            outcome = "decoded"
-            correct = bool(np.array_equal(result.w, msg.w))
-            break
-        if result.status is Decode.FAILURE:
-            outcome = "failure"
-            break
-
-    rate = p.b / stages_used if outcome == "decoded" else 0.0
-    return TrialRecord(trial=0, stages_used=stages_used, outcome=outcome,
-                       correct=correct, rate=rate, stage_trace=trace)
+            _validate_key_equation(encoder, ke, cutset_met=margin >= params.b)
+        yield (long_p.M, z), sink.try_decode(ke)
 
 
-def _validate_stage(field, params, msg, encoder, sink, out_long, x_i, out_short, a_i):
-    f = field
-    y = f.add(f.matmul(out_long.T, x_i), f.matmul(out_long.Q, out_long.Z))
-    if not np.array_equal(out_long.Y, y):
-        raise AssertionError("long channel decomposition violated")
-    j = f.add(f.matmul(out_short.T, a_i), f.matmul(out_short.Q, out_short.Z))
-    if not np.array_equal(out_short.Y, j):
-        raise AssertionError("short channel decomposition violated")
-    i = sink.stage
-    lhs = f.matmul(sink.secret.stacked_parity(i), encoder.w_vec[:, None])[:, 0]
+def _validate_stage(encoder: RsEncoder) -> None:
+    f = encoder.field
+    secret = encoder.secret
+    i = len(encoder.suffixes)
+    lhs = f.matmul(secret.stacked_parity(i), encoder.w_vec[:, None])[:, 0]
     l_all = np.concatenate([s.l_vec for s in encoder.suffixes])
-    if not np.array_equal(f.add(lhs, l_all), sink.secret.stacked_targets(i)):
+    if not np.array_equal(f.add(lhs, l_all), secret.stacked_targets(i)):
         raise AssertionError("parity staircase identity violated")
 
 
-def _validate_key_equation(field, params, msg, encoder, sink, ke, trace):
-    f = field
-    p = params
+def _validate_key_equation(encoder: RsEncoder, ke: KeyEquation, cutset_met: bool) -> None:
+    f = encoder.field
+    p = encoder.params
     # basis reconstruction identities on both sides
     for (mat, ident, limit, sel, coef) in (
         (ke.yp, p.b, p.n, ke.x_col_order[: ke.r - p.b], np.vstack([ke.f_z, ke.f_x])),
@@ -585,10 +564,8 @@ def _validate_key_equation(field, params, msg, encoder, sink, ke, trace):
         if not np.array_equal(f.matmul(basis, coef), mat[:, rest]):
             raise AssertionError("basis reconstruction identity violated")
     # ground truth satisfies the key equation once the cut set is met
-    b_tot = p.b + sum(z for _, z in trace)
-    m_tot = sum(m for m, _ in trace)
-    if b_tot <= m_tot:
-        v = truth_vector(ke, msg, encoder.suffixes)
-        b_mat, rhs = dense_key_equation(ke, sink.secret)
+    if cutset_met:
+        v = truth_vector(ke, encoder.msg, encoder.suffixes)
+        b_mat, rhs = dense_key_equation(ke, encoder.secret)
         if not np.array_equal(f.matmul(b_mat, v[:, None])[:, 0], rhs):
             raise AssertionError("ground truth does not satisfy the key equation")

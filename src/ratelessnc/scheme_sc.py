@@ -18,7 +18,7 @@ import numpy as np
 from . import linalg
 from .field import Field
 from .linalg import SolveStatus
-from .records import Decode, DecodeResult, TrialRecord
+from .records import Decode, DecodeResult
 
 
 @dataclass
@@ -65,9 +65,7 @@ class SecretStagePayload:
 
 
 def sc_encode_stage(field: Field, msg: SourceMessage, stage: int, c_i: int,
-                    rng: np.random.Generator,
-                    extra_point_every_stage: bool = False
-                    ) -> tuple[np.ndarray, SecretStagePayload]:
+                    rng: np.random.Generator) -> tuple[np.ndarray, SecretStagePayload]:
     """Encode stage >= 1: X_i = K_i @ X0 with K_i uniform c_i x b, plus the
     stage hash.  Stage 1 carries one extra evaluation point."""
     if stage < 1 or c_i < 1:
@@ -75,7 +73,7 @@ def sc_encode_stage(field: Field, msg: SourceMessage, stage: int, c_i: int,
     b = msg.b
     k = field.sample(rng, (c_i, b))
     x_i = field.matmul(k, msg.x0)
-    n_points = b * c_i + (1 if (stage == 1 or extra_point_every_stage) else 0)
+    n_points = b * c_i + (1 if stage == 1 else 0)
     points = field.sample(rng, n_points)
     d = linalg.vandermonde(field, points, msg.n + b)
     hashes = field.matmul(msg.x0, d)
@@ -157,12 +155,10 @@ def _dense_decode(sink: SinkStateSC) -> DecodeResult:
     return _accept(f.matmul(out.solution, sink.y), sink.n)
 
 
-def sc_run_session(field: Field, msg: SourceMessage, schedule, channel,
-                   rng: np.random.Generator, stage_cap: int = 64,
-                   validate: bool = False,
-                   extra_point_every_stage: bool = False) -> TrialRecord:
-    """Run one session: encode, transmit, ingest and attempt decode per
-    stage until decoded, failed, or the stage cap is hit.
+def sc_stages(field: Field, msg: SourceMessage, schedule, channel,
+              rng: np.random.Generator, validate: bool = False):
+    """Run the stages of one session: encode, transmit, ingest and attempt
+    decode, yielding ((M, injected z), DecodeResult) per stage.
 
     ``schedule`` yields StageParams; ``channel`` maps (params, X, rng) to a
     StageOutcome.  With validate=True the exact channel decomposition, the
@@ -170,40 +166,18 @@ def sc_run_session(field: Field, msg: SourceMessage, schedule, channel,
     Y) are asserted every stage.
     """
     sink = SinkStateSC(field, msg.b, msg.n)
-    trace: list[tuple[int, int]] = []
-    outcome = "exhausted"
-    correct = False
-    stages_used = 0
-
     for stage, params in enumerate(schedule, start=1):
-        if stage > stage_cap:
-            break
-        x_i, secret = sc_encode_stage(field, msg, stage, params.c, rng,
-                                      extra_point_every_stage=extra_point_every_stage)
+        x_i, secret = sc_encode_stage(field, msg, stage, params.c, rng)
         out = channel(params, x_i, rng)
         if validate:
-            recombined = field.add(field.matmul(out.T, x_i), field.matmul(out.Q, out.Z))
-            if not np.array_equal(out.Y, recombined):
-                raise AssertionError("channel decomposition Y = T X + Q Z violated")
+            out.check_decomposition(field, x_i)
             d_i = linalg.vandermonde(field, secret.points, msg.n + msg.b)
             if not np.array_equal(field.matmul(msg.x0, d_i), secret.hashes):
                 raise AssertionError("hash identity H = X0 D violated")
         sink.ingest(out.Y, secret)
-        trace.append((params.M, out.injected_errors(params.z)))
-        stages_used = stage
         result = sink.try_decode()
         if validate:
             expect = _dense_decode(sink)
             if result.status is not expect.status or not np.array_equal(result.w, expect.w):
                 raise AssertionError("sink decode disagrees with the dense solve over all of Y")
-        if result.status is Decode.DECODED:
-            outcome = "decoded"
-            correct = bool(np.array_equal(result.w, msg.w))
-            break
-        if result.status is Decode.FAILURE:
-            outcome = "failure"
-            break
-
-    rate = msg.b / stages_used if outcome == "decoded" else 0.0
-    return TrialRecord(trial=0, stages_used=stages_used, outcome=outcome,
-                       correct=correct, rate=rate, stage_trace=trace)
+        yield (params.M, out.injected_errors(params.z)), result

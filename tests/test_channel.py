@@ -14,8 +14,9 @@ from ratelessnc.channel import (
     sample_transfer,
 )
 from ratelessnc.field import get_field
+from ratelessnc.harness import run_session
 from ratelessnc.linalg import rank, rref_with_transform, zeros
-from ratelessnc.scheme_sc import SourceMessage, sc_run_session
+from ratelessnc.scheme_sc import SourceMessage, sc_stages
 
 BUTTERFLY = """
 # two edge-disjoint paths, one adversary tap
@@ -222,7 +223,7 @@ def test_matrix_and_hypergraph_modes_interchangeable(gf16):
         for t in range(500):
             rng = np.random.default_rng([17, t])
             msg = SourceMessage.random(f, 3, 9, rng)
-            rec = sc_run_session(f, msg, itertools.cycle([params]), chan, rng)
+            rec = run_session(sc_stages(f, msg, itertools.cycle([params]), chan, rng), msg)
             decoded += rec.outcome == "decoded" and rec.correct
         rates.append(decoded / 500)
     assert abs(rates[0] - rates[1]) < 0.02

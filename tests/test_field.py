@@ -61,8 +61,8 @@ def gf16():
 
 
 def test_gf7_examples(gf7):
-    assert gf7.arith(3, 5, "add") == 1
-    assert gf7.arith(3, 5, "mul") == 1
+    assert gf7.add(3, 5) == 1
+    assert gf7.mul(3, 5) == 1
     assert gf7.pow_int(3, 2) == 2
 
 
@@ -196,8 +196,3 @@ def test_named_fields():
     assert get_field("prime7").q == 7
     with pytest.raises(ValueError):
         get_field("dodecahedral")
-
-
-def test_arith_dispatch_rejects_unknown(gf7):
-    with pytest.raises(ValueError):
-        gf7.arith(1, 2, "xor")

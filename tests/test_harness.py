@@ -1,10 +1,15 @@
+import dataclasses
+import itertools
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
 from ratelessnc import cli
+from ratelessnc.channel import AdversaryStrategy, MatrixChannel, StageParams
+from ratelessnc.field import get_field
 from ratelessnc.harness import (
     ConfigError,
     Summary,
@@ -13,8 +18,15 @@ from ratelessnc.harness import (
     format_trial_row,
     load_config,
     run_experiment,
+    run_session,
 )
 from ratelessnc.records import TrialRecord
+from ratelessnc.scheme_rs import RsParams, SharedSecret, rs_stages
+from ratelessnc.scheme_sc import SourceMessage, sc_stages
+
+REPO = Path(__file__).resolve().parents[1]
+SHIPPED_CONFIGS = sorted(str(p.relative_to(REPO))
+                         for d in ("configs", "bench/configs") for p in (REPO / d).glob("*.yaml"))
 
 SC_BASE = {
     "scheme": "secret-channel",
@@ -108,6 +120,21 @@ def test_rejects_packet_length_vs_field():
         build_config({**SC_BASE, "field": "prime7", "b": 4, "n": 16})
 
 
+@pytest.mark.parametrize("key", ["sc_extra_point_every_stage", "stage_cpa"])
+def test_rejects_unknown_top_level_keys(tmp_path, capsys, key):
+    # a removed or misspelt key is refused by name, not silently ignored
+    with pytest.raises(ConfigError, match=f"unknown config keys: {key}"):
+        build_config({**SC_BASE, key: True})
+    path = write_config(tmp_path, {**SC_BASE, key: True})
+    assert cli.main(["validate", "--config", str(path)]) == 2
+    assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rel_path", SHIPPED_CONFIGS)
+def test_shipped_configs_validate(rel_path):
+    assert cli.main(["validate", "--config", str(REPO / rel_path)]) == 0
+
+
 def test_load_config_missing_file(tmp_path):
     with pytest.raises(ConfigError, match="not found"):
         load_config(tmp_path / "nope.yaml")
@@ -172,10 +199,37 @@ def test_rs_runs_through_harness():
     assert summary.silent_corruption_count == 0
 
 
-def test_extra_point_toggle_through_config():
-    cfg = build_config({**SC_BASE, "sc_extra_point_every_stage": True, "trials": 3})
-    records, _ = run_experiment(cfg)
-    assert all(r.outcome == "decoded" for r in records)
+def flip_one_symbol(channel):
+    """Wrap a channel so that the sink sees one symbol of Y changed."""
+    def call(params, x, rng):
+        out = channel(params, x, rng)
+        y = out.Y.copy()
+        y[0, 0] = channel.field.add(y[0, 0], 1)
+        return dataclasses.replace(out, Y=y)
+    return call
+
+
+@pytest.mark.parametrize("bad", ["sc", "rs-long", "rs-short"])
+def test_validate_catches_a_broken_channel_decomposition(bad):
+    f = get_field("gf2_16")
+    rng = np.random.default_rng(31)
+    chan = MatrixChannel(f, AdversaryStrategy("uniform-random"))
+    long_p = StageParams(M=4, z=1, c=4)
+    if bad == "sc":
+        msg = SourceMessage.random(f, 3, 12, rng)
+        stages = sc_stages(f, msg, itertools.repeat(long_p), flip_one_symbol(chan), rng,
+                           validate=True)
+    else:
+        p = RsParams(b=3, n=12, sigma=1, m=RsParams.auto_m(3, 1, 4), cbar=4)
+        msg = SourceMessage.random(f, p.b, p.n, rng)
+        secret = SharedSecret(f, p, np.random.default_rng(32))
+        schedule = itertools.repeat((long_p, StageParams(M=2, z=1, c=2)))
+        long_chan, short_chan = ((flip_one_symbol(chan), chan) if bad == "rs-long"
+                                 else (chan, flip_one_symbol(chan)))
+        stages = rs_stages(f, p, msg, secret, schedule, long_chan, short_chan, rng,
+                           validate=True)
+    with pytest.raises(AssertionError, match=r"channel decomposition Y = T X \+ Q Z"):
+        run_session(stages, msg)
 
 
 def test_prime_field_cross_validation():

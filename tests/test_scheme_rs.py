@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from ratelessnc.channel import AdversaryStrategy, MatrixChannel, StageParams
 from ratelessnc.field import get_field
-from ratelessnc.harness import build_config, run_experiment
+from ratelessnc.harness import build_config, run_experiment, run_session
 from ratelessnc.linalg import SolveStatus, devectorize, rank, solve_exact, vectorize, zeros
 from ratelessnc.records import Decode
 from ratelessnc.scheme_rs import (
@@ -19,7 +19,7 @@ from ratelessnc.scheme_rs import (
     dense_key_equation,
     l_entry_map,
     rs_make_suffix,
-    rs_run_session,
+    rs_stages,
     truth_vector,
 )
 from ratelessnc.scheme_sc import SourceMessage
@@ -314,7 +314,8 @@ def test_decode_stage_one_clean_channels(gf16):
     rng, msg, secret = fresh_session(gf16, p, 15)
     sched = zip(itertools.cycle([StageParams(4, 0, 4)]),
                 itertools.cycle([StageParams(2, 0, 2)]))
-    rec = rs_run_session(gf16, p, msg, secret, sched, silent(gf16), silent(gf16), rng)
+    rec = run_session(rs_stages(gf16, p, msg, secret, sched, silent(gf16), silent(gf16), rng),
+                      msg)
     assert rec.outcome == "decoded" and rec.stages_used == 1 and rec.correct
 
 
@@ -342,8 +343,8 @@ def test_decode_at_cutset_stage_montecarlo(gf16):
         rng, msg, secret = fresh_session(gf16, p, [17, seed])
         ls = itertools.cycle([StageParams(4, 2, 4), StageParams(4, 1, 4)])
         ss = itertools.cycle([StageParams(2, 1, 2)])
-        rec = rs_run_session(gf16, p, msg, secret, zip(ls, ss),
-                             uniform(gf16), uniform(gf16), rng)
+        rec = run_session(rs_stages(gf16, p, msg, secret, zip(ls, ss),
+                                    uniform(gf16), uniform(gf16), rng), msg)
         hits += rec.outcome == "decoded" and rec.stages_used == 2 and rec.correct
     assert hits >= 49
 
@@ -357,8 +358,8 @@ def test_adversary_on_short_packets_only(gf16):
         rng, msg, secret = fresh_session(gf16, p, [18, seed])
         ls = itertools.cycle([StageParams(4, 0, 4)])
         ss = itertools.cycle([StageParams(2, 1, 2)])
-        rec = rs_run_session(gf16, p, msg, secret, zip(ls, ss),
-                             silent(gf16), uniform(gf16), rng)
+        rec = run_session(rs_stages(gf16, p, msg, secret, zip(ls, ss),
+                                    silent(gf16), uniform(gf16), rng), msg)
         hits += rec.outcome == "decoded" and rec.correct
     assert hits >= 190
 
@@ -392,7 +393,7 @@ def test_session_rejects_sigma_margin_violation(gf16):
     sched = zip(itertools.cycle([StageParams(2, 0, 2)]),
                 itertools.cycle([StageParams(2, 1, 2)]))
     with pytest.raises(ValueError, match="sigma"):
-        rs_run_session(gf16, p, msg, secret, sched, silent(gf16), silent(gf16), rng)
+        run_session(rs_stages(gf16, p, msg, secret, sched, silent(gf16), silent(gf16), rng), msg)
 
 
 def test_undersized_hash_rule_demonstrably_unsound():
@@ -407,8 +408,8 @@ def test_undersized_hash_rule_demonstrably_unsound():
         secret = SharedSecret(f, p, np.random.default_rng([21, seed, 777]))
         ls = itertools.cycle([StageParams(3, 1, 3)])
         ss = itertools.cycle([StageParams(2, 1, 2)])
-        rec = rs_run_session(f, p, msg, secret, zip(ls, ss),
-                             uniform(f), uniform(f), rng, stage_cap=6)
+        rec = run_session(rs_stages(f, p, msg, secret, zip(ls, ss), uniform(f), uniform(f), rng),
+                          msg, stage_cap=6)
         if rec.outcome == "failure" or (rec.outcome == "decoded" and not rec.correct):
             anomalies += 1
     assert anomalies >= 1
@@ -419,8 +420,8 @@ def test_validate_mode_passes_clean_sessions(gf16):
     rng, msg, secret = fresh_session(gf16, p, 22)
     ls = itertools.cycle([StageParams(4, 2, 4), StageParams(4, 1, 4)])
     ss = itertools.cycle([StageParams(2, 1, 2)])
-    rec = rs_run_session(gf16, p, msg, secret, zip(ls, ss),
-                         uniform(gf16), uniform(gf16), rng, validate=True)
+    rec = run_session(rs_stages(gf16, p, msg, secret, zip(ls, ss),
+                                uniform(gf16), uniform(gf16), rng, validate=True), msg)
     assert rec.outcome == "decoded" and rec.correct
 
 

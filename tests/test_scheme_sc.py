@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from ratelessnc.channel import AdversaryStrategy, MatrixChannel, StageParams
 from ratelessnc.field import get_field
+from ratelessnc.harness import run_session
 from ratelessnc.linalg import SolveStatus, rank, solve_in_row_space, zeros
 from ratelessnc.records import Decode, DecodeResult
 from ratelessnc.scheme_sc import (
@@ -15,7 +16,7 @@ from ratelessnc.scheme_sc import (
     SinkStateSC,
     SourceMessage,
     sc_encode_stage,
-    sc_run_session,
+    sc_stages,
 )
 
 
@@ -46,11 +47,12 @@ def uniform_channel(field):
     return MatrixChannel(field, AdversaryStrategy("uniform-random"))
 
 
-def run(field, b, n, schedule, seed, channel=None, **kw):
+def run(field, b, n, schedule, seed, channel=None, stage_cap=64, validate=False):
     rng = np.random.default_rng(seed)
     msg = SourceMessage.random(field, b, n, rng)
     chan = channel or uniform_channel(field)
-    return sc_run_session(field, msg, schedule, chan, rng, **kw), msg
+    stages = sc_stages(field, msg, schedule, chan, rng, validate=validate)
+    return run_session(stages, msg, stage_cap), msg
 
 
 def test_message_layout(gf16):
@@ -101,13 +103,6 @@ def test_stage_point_counts_and_secret_size(gf16):
             expect_pts = b * c + (1 if stage == 1 else 0)
             assert payload.points.size == expect_pts
             assert payload.size_symbols == expect_pts * (b + 1)
-
-
-def test_extra_point_toggle(gf16):
-    msg = SourceMessage.random(gf16, 2, 6, np.random.default_rng(7))
-    _, payload = sc_encode_stage(gf16, msg, 3, 2, np.random.default_rng(8),
-                                 extra_point_every_stage=True)
-    assert payload.points.size == 2 * 2 + 1
 
 
 def test_ingest_stacking_sizes(gf16):
@@ -249,7 +244,7 @@ def _sc_case(draw):
     n = draw(st.integers(1, min(4, field.q - 1 - b)))
     stages = draw(st.lists(_stage(), min_size=1, max_size=4))
     adversary = draw(st.sampled_from(["none", "uniform-random", "additive-targeted"]))
-    return field, b, n, stages, draw(st.booleans()), adversary, draw(st.integers(0, 2**32 - 1))
+    return field, b, n, stages, adversary, draw(st.integers(0, 2**32 - 1))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -257,15 +252,14 @@ def _sc_case(draw):
 def test_sink_agrees_with_dense_oracle(case):
     # solving over a row basis of Y classifies and decodes exactly as the
     # dense solve over every row does, whatever the field, shape, stage
-    # parameters, extra points and adversary
-    f, b, n, stages, extra, adversary, seed = case
+    # parameters and adversary
+    f, b, n, stages, adversary, seed = case
     rng = np.random.default_rng(seed)
     msg = SourceMessage.random(f, b, n, rng)
     sink = SinkStateSC(f, b, n)
     chan = MatrixChannel(f, AdversaryStrategy(adversary))
     for stage, params in enumerate(stages, start=1):
-        x_i, payload = sc_encode_stage(f, msg, stage, params.c, rng,
-                                       extra_point_every_stage=extra)
+        x_i, payload = sc_encode_stage(f, msg, stage, params.c, rng)
         sink.ingest(chan(params, x_i, rng).Y, payload)
         result = sink.try_decode()
         status, w = dense_expectation(f, sink)
