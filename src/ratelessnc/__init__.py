@@ -22,7 +22,7 @@ from .channel import (
     make_errors,
     sample_transfer,
 )
-from .field import Field, FieldSpec, GF2Field, PrimeField, get_field
+from .field import Field, GF2Field, PrimeField, get_field
 from .harness import (
     ConfigError,
     ExperimentConfig,
@@ -39,6 +39,7 @@ from .linalg import (
     SolveOutcome,
     SolveStatus,
     devectorize,
+    extend_row_basis,
     independent_row_indices,
     rank,
     rref_with_transform,

@@ -16,7 +16,6 @@ across threads; generator state stays with the caller.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,33 +53,10 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class FieldSpec:
-    """Field selector: kind is 'binary-extension' or 'prime', order is q."""
-
-    kind: str
-    order: int
-    poly: int | None = None
-
-    def __post_init__(self):
-        if self.kind == "binary-extension":
-            w = self.order.bit_length() - 1
-            if self.order != 1 << w or not 2 <= w <= 16:
-                raise ValueError(
-                    f"binary-extension order must be 2^w with 2 <= w <= 16, got {self.order}"
-                )
-        elif self.kind == "prime":
-            if not _is_prime(self.order):
-                raise ValueError(f"prime field order must be prime, got {self.order}")
-        else:
-            raise ValueError(f"unknown field kind {self.kind!r}")
-
-
 class Field:
     """Common interface; see GF2Field and PrimeField."""
 
     q: int
-    spec: FieldSpec
     dtype = np.int64
 
     def add(self, a, b):
@@ -144,7 +120,6 @@ class GF2Field(Field):
         self.poly = poly if poly is not None else _DEFAULT_POLY[w]
         if self.poly.bit_length() - 1 != w:
             raise ValueError(f"reduction polynomial degree {self.poly.bit_length()-1} != {w}")
-        self.spec = FieldSpec("binary-extension", self.q, self.poly)
 
         zoff = 1 << (w + 1)  # log "of zero"; sums with it land in the zero tail
         exp = np.zeros(2 * zoff + 1, dtype=np.int64)
@@ -227,7 +202,6 @@ class PrimeField(Field):
         if p > (1 << 16):
             raise ValueError("prime fields larger than 2^16 are not supported")
         self.q = p
-        self.spec = FieldSpec("prime", p)
 
     def add(self, a, b):
         return (np.asarray(a) + np.asarray(b)) % self.q

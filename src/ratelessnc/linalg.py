@@ -5,6 +5,8 @@ the field object first, mirroring how the arithmetic is dispatched (products
 are ``Field.matmul``).  Besides reduced row echelon form with a recorded
 transform, this module provides:
 
+* ``extend_row_basis`` -- grow a row basis by a block of new rows, which
+  is how both sinks keep their observations;
 * ``solve_in_row_space`` -- recover the combination matrix S with
   ``S (Y @ D) = H`` and classify the outcome by whether the recovered
   product ``S @ Y`` is unique;
@@ -100,6 +102,15 @@ def independent_row_indices(field: Field, a: np.ndarray) -> list[int]:
     top-to-bottom (the pivot rows of the transposed reduction)."""
     work = np.asarray(a).T.astype(np.int64, copy=True)
     return _gauss_jordan(field, work, work.shape[1])
+
+
+def extend_row_basis(field: Field, basis: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The rows of ``[basis; rows]`` independent of the rows above them.
+
+    When ``basis`` is itself independent it is kept whole, and the result
+    is the greedy top-to-bottom basis of every row fed in so far."""
+    stacked = np.vstack([basis, rows])
+    return stacked[independent_row_indices(field, stacked)]
 
 
 class SolveStatus(enum.Enum):

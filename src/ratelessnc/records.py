@@ -7,6 +7,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .linalg import SolveStatus
+
 
 class Decode(enum.Enum):
     DECODED = "decoded"
@@ -22,6 +24,13 @@ class DecodeResult:
     @property
     def decoded(self) -> bool:
         return self.status is Decode.DECODED
+
+
+def unsolved(status: SolveStatus) -> DecodeResult:
+    """The sink's verdict on a decode system without a unique solution:
+    NO_SOLUTION waits for more observations, MULTIPLE is a failure."""
+    return DecodeResult({SolveStatus.NO_SOLUTION: Decode.NEED_MORE,
+                         SolveStatus.MULTIPLE: Decode.FAILURE}[status])
 
 
 @dataclass

@@ -11,8 +11,10 @@ packet kinds through separate channels:
 * short packets: random combinations of a staircase of suffix blocks
   ``(L_k | dummy 0 | 0 | I)``, whose width grows with the stage.
 
-The decoder extracts column bases of both stacked observations (the
-trailing identity columns are independent with overwhelming probability)
+The sink keeps a row basis of each packet kind's observations, grown as
+stages arrive (short rows re-padded to each stage's width).  The decoder
+extracts column bases of both (the trailing identity columns are
+independent with overwhelming probability)
 and expresses the rest in those bases.  Together with the parity rows
 this gives one linear key equation over the unknown message and suffix
 entries; a unique solution decodes the message.  The sink keeps the key
@@ -35,7 +37,7 @@ import numpy as np
 from . import linalg
 from .field import Field
 from .linalg import SolveStatus
-from .records import Decode, DecodeResult
+from .records import Decode, DecodeResult, unsolved
 from .scheme_sc import SourceMessage
 
 
@@ -246,7 +248,8 @@ class KeyEquation:
 
 
 class RsSinkState:
-    """Accumulated long/short observations of one session and the decoder."""
+    """Row bases of one session's long and short observations, found top to
+    bottom, and the decoder."""
 
     def __init__(self, field: Field, params: RsParams, secret: SharedSecret):
         params.check_field(field)
@@ -254,8 +257,8 @@ class RsSinkState:
         self.params = params
         self.secret = secret
         self.stage = 0
-        self._y_blocks: list[np.ndarray] = []
-        self._j_blocks: list[np.ndarray] = []
+        self._yb = linalg.zeros(0, params.n + params.b)
+        self._jb = linalg.zeros(0, 0)
 
     def ingest(self, y_i: np.ndarray, j_i: np.ndarray) -> None:
         p = self.params
@@ -268,45 +271,30 @@ class RsSinkState:
             )
         self.field.check_range(y_i, "long packet symbols")
         self.field.check_range(j_i, "short packet symbols")
-        self._y_blocks.append(np.asarray(y_i))
-        self._j_blocks.append(np.asarray(j_i))
+        # re-pad the short basis with this stage's dummy zeros, exactly as
+        # the staircase rows are; zero columns leave row independence alone
+        cut = (i - 1) * p.m
+        rows = self._jb.shape[0]
+        jb = np.hstack([self._jb[:, :cut], linalg.zeros(rows, p.m),
+                        self._jb[:, cut:], linalg.zeros(rows, p.sigma)])
+        self._yb = linalg.extend_row_basis(self.field, self._yb, y_i)
+        self._jb = linalg.extend_row_basis(self.field, jb, j_i)
         self.stage = i
 
-    def stacked_long(self) -> np.ndarray:
-        return np.vstack(self._y_blocks)
-
-    def stacked_short(self) -> np.ndarray:
-        """Short observations re-padded with the dummy zeros of the current
-        stage, exactly as the staircase rows are."""
-        p = self.params
-        i = self.stage
-        parts = []
-        for k, jk in enumerate(self._j_blocks, start=1):
-            rows = jk.shape[0]
-            parts.append(np.hstack([
-                jk[:, : k * p.m],
-                linalg.zeros(rows, (i - k) * p.m),
-                jk[:, k * p.m:],
-                linalg.zeros(rows, (i - k) * p.sigma),
-            ]))
-        return np.vstack(parts)
-
     # -- decoding -------------------------------------------------------
-    def _extract_side(self, mat: np.ndarray, ident_cols: int, scan_limit: int,
+    def _extract_side(self, sel_rows: np.ndarray, ident_cols: int, scan_limit: int,
                       scan_order=None):
-        """Select independent rows, take the trailing ident_cols as the
-        forced basis part, greedily complete the basis from the leading
+        """Over a row basis, take the trailing ident_cols as the forced
+        column basis part, greedily complete the basis from the leading
         columns, and express the remaining columns in that basis.
 
         One Gauss-Jordan pass over (forced columns, then the scan order)
-        does all three: its pivot columns are the greedy in-order basis and
-        its reduced non-pivot columns are the expansion coefficients.
-        Returns None when the rows cannot support the forced basis yet."""
-        rows = linalg.independent_row_indices(self.field, mat)
-        r = len(rows)
+        does both: its pivot columns are the greedy in-order basis and its
+        reduced non-pivot columns are the expansion coefficients.  Returns
+        None when the rows cannot support the forced basis yet."""
+        r = sel_rows.shape[0]
         if r < ident_cols:
             return None
-        sel_rows = mat[rows]
         order = np.arange(scan_limit) if scan_order is None else np.asarray(scan_order)
         work = sel_rows[:, np.concatenate([np.arange(scan_limit, scan_limit + ident_cols),
                                            order])]
@@ -331,12 +319,11 @@ class RsSinkState:
         i = self.stage
         if i == 0:
             return None
-        long_side = self._extract_side(self.stacked_long(), p.b, p.n, scan_order_long)
+        long_side = self._extract_side(self._yb, p.b, p.n, scan_order_long)
         if long_side is None:
             return None
         yp, r, sel_y, rest_y, coef_y = long_side
-        short_side = self._extract_side(self.stacked_short(), i * p.sigma, i * p.m,
-                                        scan_order_short)
+        short_side = self._extract_side(self._jb, i * p.sigma, i * p.m, scan_order_short)
         if short_side is None:
             return None
         jp, r_bar, sel_j, rest_j, coef_j = short_side
@@ -413,10 +400,8 @@ class RsSinkState:
         want[kept_b] = l_aff[rows_b]
         diff = f.sub(lb_aff, want)
         out = linalg.solve_exact(f, diff[:, :theta_a], f.neg(diff[:, theta_a]))
-        if out.status is SolveStatus.NO_SOLUTION:
-            return DecodeResult(Decode.NEED_MORE)
-        if out.status is SolveStatus.MULTIPLE:
-            return DecodeResult(Decode.FAILURE)
+        if out.status is not SolveStatus.UNIQUE:
+            return unsolved(out.status)
 
         x_a = linalg.devectorize(out.solution, b, r - b)
         x_b = f.add(f.matmul(x_a, ke.f_z), ke.f_x)
@@ -512,9 +497,9 @@ def rs_stages(field: Field, params: RsParams, msg: SourceMessage,
 
     ``schedule`` yields (long StageParams, short StageParams) pairs; long
     and short packets traverse independent channel instances.  The stage
-    trace, and so the rate, counts long packets only.  With validate=True the exact channels, parity staircase, basis
-    reconstruction, and ground-truth key equation identities are asserted
-    each stage.
+    trace, and so the rate, counts long packets only.  With validate=True
+    the exact channels, parity staircase, basis reconstruction, and
+    ground-truth key equation identities are asserted each stage.
     """
     encoder = RsEncoder(field, params, msg, secret)
     sink = RsSinkState(field, params, secret)

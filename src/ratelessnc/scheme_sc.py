@@ -4,9 +4,9 @@ Per stage the source sends fresh random combinations of the message block
 (with an appended identity) over the network, and hands the sink a small
 hash over a reliable side conduit: a batch of fresh random evaluation
 points plus the message evaluated at them (a Vandermonde product).  The
-sink stacks everything received so far and tries to express the message as
-a combination of its observations that is consistent with every hash; it
-decodes once that combination pins down a single candidate.
+sink keeps a row basis of everything received so far and tries to express
+the message as a combination of those rows that is consistent with every
+hash; it decodes once that combination pins down a single candidate.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 from . import linalg
 from .field import Field
 from .linalg import SolveStatus
-from .records import Decode, DecodeResult
+from .records import Decode, DecodeResult, unsolved
 
 
 @dataclass
@@ -87,18 +87,16 @@ class SinkStateSC:
     The decode system is S (Y D) = H for the combination matrix S.  Only
     S Y matters, so the sink keeps Y_b, the independent rows of Y found top
     to bottom, and G = Y_b D, grown by its bordered blocks each stage; it
-    then solves S' G = H in dimension rank(Y).  The full stacked Y, D and H
-    are kept too, for the dense oracle under ``validate``.
+    then solves S' G = H, in dimension rank(Y), with ``linalg.solve_exact``.
     """
 
     def __init__(self, field: Field, b: int, n: int):
         self.field = field
         self.b = b
         self.n = n
-        self.y = linalg.zeros(0, n + b)
         self.d = linalg.zeros(n + b, 0)
         self.h = linalg.zeros(b, 0)
-        self._yb = self.y
+        self._yb = linalg.zeros(0, n + b)
         self._g = linalg.zeros(0, 0)
 
     def ingest(self, y_i: np.ndarray, secret: SecretStagePayload) -> None:
@@ -112,27 +110,20 @@ class SinkStateSC:
         f.check_range(secret.points, "evaluation points")
         f.check_range(secret.hashes, "hash symbols")
         d_i = linalg.vandermonde(f, secret.points, width)
-        stacked = np.vstack([self._yb, y_i])
-        new_rows = stacked[linalg.independent_row_indices(f, stacked)[self._yb.shape[0]:]]
+        yb = linalg.extend_row_basis(f, self._yb, y_i)
         top = np.hstack([self._g, f.matmul(self._yb, d_i)])
         self.d = np.hstack([self.d, d_i])
-        self._g = np.vstack([top, f.matmul(new_rows, self.d)])
-        self._yb = np.vstack([self._yb, new_rows])
-        self.y = np.vstack([self.y, y_i])
+        self._g = np.vstack([top, f.matmul(yb[self._yb.shape[0]:], self.d)])
+        self._yb = yb
         self.h = np.hstack([self.h, secret.hashes])
 
     def try_decode(self) -> DecodeResult:
-        r = self._yb.shape[0]
-        if r < self.b:
+        if self._yb.shape[0] < self.b:
             return DecodeResult(Decode.NEED_MORE)
-        work = np.hstack([self._g.T, self.h.T])
-        rank_g = len(linalg._gauss_jordan(self.field, work, r))
-        if np.any(work[rank_g:, r:]):
-            return DecodeResult(Decode.NEED_MORE)
-        if rank_g < r:
-            return DecodeResult(Decode.FAILURE)
-        # every row of Y_b is a pivot, so the top r rows hold S'^T in order
-        return _accept(self.field.matmul(work[:r, r:].T, self._yb), self.n)
+        out = linalg.solve_exact(self.field, self._g.T, self.h.T)
+        if out.status is not SolveStatus.UNIQUE:
+            return unsolved(out.status)
+        return _accept(self.field.matmul(out.solution.T, self._yb), self.n)
 
 
 def _accept(x0_hat: np.ndarray, n: int) -> DecodeResult:
@@ -142,17 +133,15 @@ def _accept(x0_hat: np.ndarray, n: int) -> DecodeResult:
     return DecodeResult(Decode.DECODED, w=x0_hat[:, :n])
 
 
-def _dense_decode(sink: SinkStateSC) -> DecodeResult:
-    """What ``try_decode`` must return, solved over every row of Y."""
+def _dense_decode(sink: SinkStateSC, y: np.ndarray) -> DecodeResult:
+    """What ``try_decode`` must return, solved over every received row y."""
     f = sink.field
-    if linalg.rank(f, sink.y) < sink.b:
+    if linalg.rank(f, y) < sink.b:
         return DecodeResult(Decode.NEED_MORE)
-    out = linalg.solve_in_row_space(f, sink.y, sink.d, sink.h)
-    if out.status is SolveStatus.NO_SOLUTION:
-        return DecodeResult(Decode.NEED_MORE)
-    if out.status is SolveStatus.MULTIPLE:
-        return DecodeResult(Decode.FAILURE)
-    return _accept(f.matmul(out.solution, sink.y), sink.n)
+    out = linalg.solve_in_row_space(f, y, sink.d, sink.h)
+    if out.status is not SolveStatus.UNIQUE:
+        return unsolved(out.status)
+    return _accept(f.matmul(out.solution, y), sink.n)
 
 
 def sc_stages(field: Field, msg: SourceMessage, schedule, channel,
@@ -166,6 +155,7 @@ def sc_stages(field: Field, msg: SourceMessage, schedule, channel,
     Y) are asserted every stage.
     """
     sink = SinkStateSC(field, msg.b, msg.n)
+    y_all = linalg.zeros(0, msg.n + msg.b)  # every received row, for the dense oracle
     for stage, params in enumerate(schedule, start=1):
         x_i, secret = sc_encode_stage(field, msg, stage, params.c, rng)
         out = channel(params, x_i, rng)
@@ -177,7 +167,8 @@ def sc_stages(field: Field, msg: SourceMessage, schedule, channel,
         sink.ingest(out.Y, secret)
         result = sink.try_decode()
         if validate:
-            expect = _dense_decode(sink)
+            y_all = np.vstack([y_all, out.Y])
+            expect = _dense_decode(sink, y_all)
             if result.status is not expect.status or not np.array_equal(result.w, expect.w):
                 raise AssertionError("sink decode disagrees with the dense solve over all of Y")
         yield (params.M, out.injected_errors(params.z)), result

@@ -12,12 +12,13 @@ from ratelessnc.field import get_field
 from ratelessnc.harness import build_config, emit_outputs, run_experiment
 from ratelessnc.linalg import (
     IncrementalReducer,
+    independent_row_indices,
     rref_with_transform,
     vandermonde,
     zeros,
 )
-from ratelessnc.scheme_rs import RsParams, SharedSecret
-from ratelessnc.scheme_sc import SourceMessage, sc_encode_stage
+from ratelessnc.scheme_rs import RsEncoder, RsParams, RsSinkState, SharedSecret
+from ratelessnc.scheme_sc import SinkStateSC, SourceMessage, sc_encode_stage
 
 CRITERION_1 = {
     "scheme": "secret-channel",
@@ -214,6 +215,71 @@ def test_criterion_6_incremental_equals_batch():
     assert incremental_used > 0
     report(6, f"incremental elimination matched batch in 100/100 sequences "
               f"({incremental_used} bordered updates taken)")
+
+
+def _received(f, rng, x):
+    """What a sink may see of packets x: m random combinations plus z
+    injected error rows; m may exceed the rank on offer, and one stage in
+    five carries no message rank at all."""
+    m = int(rng.integers(1, x.shape[0] + 3))
+    z = int(rng.integers(0, 3))
+    t = f.sample(rng, (m, x.shape[0]))
+    if rng.random() < 0.2:
+        t[:] = 0
+    errors = f.matmul(f.sample(rng, (m, z)), f.sample(rng, (z, x.shape[1])))
+    return f.add(f.matmul(t, x), errors), z
+
+
+def _batch_basis(f, stacked):
+    return stacked[independent_row_indices(f, stacked)]
+
+
+def test_sink_bases_equal_batch():
+    # the live counterpart of criterion 6: both sinks grow their row bases
+    # stage by stage, and after every ingest each basis equals the batch
+    # top-to-bottom selection over every row received so far
+    rng = np.random.default_rng(67)
+    fields = [get_field(name) for name in ("prime7", "gf2_4", "gf2_16")]
+    matches = zero_z = deficient = 0
+    for seq in range(100):
+        f = fields[seq % 3]
+        b, n, sigma = (int(v) for v in rng.integers(1, [3, 4, 3]))  # n*b, n+b < 7
+        msg = SourceMessage.random(f, b, n, rng)
+        params = RsParams(b=b, n=n, sigma=sigma, m=RsParams.auto_m(b, sigma, 2), cbar=2)
+        secret = SharedSecret(f, params, rng)
+        enc = RsEncoder(f, params, msg, secret)
+        sc = SinkStateSC(f, b, n)
+        rs = RsSinkState(f, params, secret)
+        ys, longs, shorts = [], [], []
+        ok = True
+        for stage in range(1, int(rng.integers(2, 6))):
+            x_i, payload = sc_encode_stage(f, msg, stage, int(rng.integers(1, b + 2)), rng)
+            y_i, z = _received(f, rng, x_i)
+            zero_z += z == 0
+            rank_before = sc._yb.shape[0]
+            sc.ingest(y_i, payload)
+            deficient += sc._yb.shape[0] - rank_before < y_i.shape[0]
+            ys.append(y_i)
+            ok &= np.array_equal(sc._yb, _batch_basis(f, np.vstack(ys)))
+            ok &= np.array_equal(sc._g, f.matmul(sc._yb, sc.d))
+
+            long_x, short_x = enc.encode_stage(stage, 2, 2, rng)
+            longs.append(_received(f, rng, long_x)[0])
+            shorts.append(_received(f, rng, short_x)[0])
+            rs.ingest(longs[-1], shorts[-1])
+            # earlier short rows re-padded with this stage's dummy zeros
+            m = params.m
+            short_all = np.vstack([
+                np.hstack([jk[:, : k * m], zeros(jk.shape[0], (stage - k) * m),
+                           jk[:, k * m:], zeros(jk.shape[0], (stage - k) * sigma)])
+                for k, jk in enumerate(shorts, start=1)])
+            ok &= np.array_equal(rs._yb, _batch_basis(f, np.vstack(longs)))
+            ok &= np.array_equal(rs._jb, _batch_basis(f, short_all))
+        matches += ok
+    assert matches == 100, f"only {matches}/100 growth sequences matched the batch bases"
+    assert zero_z > 0 and deficient > 0
+    report(6, f"both sinks' row bases matched batch selection in 100/100 growth sequences "
+              f"({deficient} rank-deficient stages, {zero_z} with z = 0)")
 
 
 def test_criterion_7_secret_size_accounting():

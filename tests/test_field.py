@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from ratelessnc.field import FieldSpec, GF2Field, PrimeField, get_field
+from ratelessnc.field import GF2Field, PrimeField, get_field
 
 
 def egcd(a, b):
@@ -165,17 +165,11 @@ def test_sample_uniform_chi_square():
     assert stats.chisquare(counts).pvalue >= 0.001
 
 
-def test_field_spec_validation():
-    FieldSpec("binary-extension", 1 << 16)
-    FieldSpec("prime", 65521)
+@pytest.mark.parametrize("name", ["gf2_17", "gf2_1"])
+def test_get_field_rejects_unsupported_orders(name):
+    # binary extension degrees must lie in [2, 16]
     with pytest.raises(ValueError):
-        FieldSpec("binary-extension", 3 << 4)  # not a power of two
-    with pytest.raises(ValueError):
-        FieldSpec("binary-extension", 1 << 17)  # above 2^16
-    with pytest.raises(ValueError):
-        FieldSpec("prime", 65520)
-    with pytest.raises(ValueError):
-        FieldSpec("cubic", 27)
+        get_field(name)
 
 
 def test_reducible_polynomial_rejected():

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from ratelessnc.harness import emit_outputs, load_config, run_experiment
+from ratelessnc.harness import build_config, emit_outputs, load_config, run_experiment
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -32,3 +32,21 @@ def test_trials_csv_digest(tmp_path, name, trials, digest):
     records, summary = run_experiment(cfg)
     csv_path, _ = emit_outputs(records, summary, tmp_path)
     assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == digest
+
+
+# a long random-secret session: b + sum(z) <= sum(M) first holds at stage 8,
+# so every trial re-pads and extends the short basis through eight stages
+RS_LONG = {
+    "scheme": "random-secret", "field": "gf2_16", "b": 8, "n": 8, "sigma": 1, "m": "auto",
+    "trials": 5, "seed": 7, "stage_cap": 10, "adversary": "uniform-random",
+    "stages": {"kind": "fixed", "schedule": [{"M": 2, "z": 1}]},
+    "short_stages": {"kind": "fixed", "schedule": [{"M": 3, "z": 1}]},
+}
+
+
+def test_long_random_secret_digest(tmp_path):
+    records, summary = run_experiment(build_config(RS_LONG))
+    assert [r.stages_used for r in records] == [8] * 5
+    csv_path, _ = emit_outputs(records, summary, tmp_path)
+    assert (hashlib.sha256(csv_path.read_bytes()).hexdigest()
+            == "f4f1d414504e19e4ac3df42152d4eb461bd340f0b4ecc2c9d4c6b165d2db8dd3")

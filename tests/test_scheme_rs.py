@@ -272,13 +272,16 @@ def test_rank_growth_bound(gf16):
         enc = RsEncoder(gf16, p, msg, secret)
         sink = RsSinkState(gf16, p, secret)
         chan = uniform(gf16)
+        received = []
         for i in (1, 2):
             x_i, a_i = enc.encode_stage(i, 4, 2, rng)
             out_l = chan(StageParams(4, 2, 4), x_i, rng)
             out_s = chan(StageParams(2, 1, 2), a_i, rng)
             sink.ingest(out_l.Y, out_s.Y)
-            r_i = rank(gf16, sink.stacked_long())
+            received.append(out_l.Y)
+            r_i = rank(gf16, np.vstack(received))
             assert r_i - p.b <= i * p.cbar
+            assert sink._yb.shape[0] == r_i  # the sink's long basis spans them all
 
 
 def test_scan_order_invariance(gf16):

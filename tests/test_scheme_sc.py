@@ -9,7 +9,13 @@ from hypothesis import strategies as st
 from ratelessnc.channel import AdversaryStrategy, MatrixChannel, StageParams
 from ratelessnc.field import get_field
 from ratelessnc.harness import run_session
-from ratelessnc.linalg import SolveStatus, rank, solve_in_row_space, zeros
+from ratelessnc.linalg import (
+    SolveStatus,
+    independent_row_indices,
+    rank,
+    solve_in_row_space,
+    zeros,
+)
 from ratelessnc.records import Decode, DecodeResult
 from ratelessnc.scheme_sc import (
     SecretStagePayload,
@@ -111,13 +117,19 @@ def test_ingest_stacking_sizes(gf16):
     msg = SourceMessage.random(f, b, n, np.random.default_rng(9))
     rng = np.random.default_rng(10)
     sink = SinkStateSC(f, b, n)
+    received = []
     for stage, c in ((1, 3), (2, 2)):
         x_i, payload = sc_encode_stage(f, msg, stage, c, rng)
-        sink.ingest(x_i, payload)  # direct ingest: stacking only
+        sink.ingest(x_i, payload)  # direct ingest, no channel
+        received.append(x_i)
         # the true message satisfies the accumulated hash identity
         assert np.array_equal(f.matmul(msg.x0, sink.d), sink.h)
     assert sink.d.shape[1] == (b * 3 + 1) + b * 2
-    assert sink.y.shape[0] == 3 + 2
+    # the sink keeps only the b independent rows of the 3 + 2 received
+    y = np.vstack(received)
+    assert y.shape[0] == 3 + 2
+    assert np.array_equal(sink._yb, y[independent_row_indices(f, y)])
+    assert sink._yb.shape[0] == b
 
 
 def test_ingest_rejects_bad_width(gf16):
@@ -217,15 +229,15 @@ _ORACLE_STATUS = {
 }
 
 
-def dense_expectation(f, sink):
-    """Decode status and W from a dense solve over every row of Y."""
-    if rank(f, sink.y) < sink.b:  # fewer than b independent rows: wait
+def dense_expectation(f, sink, y):
+    """Decode status and W from a dense solve over every received row y."""
+    if rank(f, y) < sink.b:  # fewer than b independent rows: wait
         return Decode.NEED_MORE, None
-    oracle = solve_in_row_space(f, sink.y, sink.d, sink.h)
+    oracle = solve_in_row_space(f, y, sink.d, sink.h)
     status = _ORACLE_STATUS[oracle.status]
     if status is not Decode.DECODED:
         return status, None
-    x0 = f.matmul(oracle.solution, sink.y)
+    x0 = f.matmul(oracle.solution, y)
     if not np.array_equal(x0[:, sink.n:], np.eye(sink.b, dtype=np.int64)):
         return Decode.FAILURE, None
     return Decode.DECODED, x0[:, : sink.n]
@@ -258,11 +270,14 @@ def test_sink_agrees_with_dense_oracle(case):
     msg = SourceMessage.random(f, b, n, rng)
     sink = SinkStateSC(f, b, n)
     chan = MatrixChannel(f, AdversaryStrategy(adversary))
+    y = zeros(0, n + b)
     for stage, params in enumerate(stages, start=1):
         x_i, payload = sc_encode_stage(f, msg, stage, params.c, rng)
-        sink.ingest(chan(params, x_i, rng).Y, payload)
+        y_i = chan(params, x_i, rng).Y
+        sink.ingest(y_i, payload)
+        y = np.vstack([y, y_i])
         result = sink.try_decode()
-        status, w = dense_expectation(f, sink)
+        status, w = dense_expectation(f, sink, y)
         assert result.status is status
         assert np.array_equal(result.w, w)
 
@@ -293,9 +308,11 @@ def test_ingest_rejects_out_of_range_symbols(gf16, bad):
         bad_payload = dataclasses.replace(payload, **{field_name: arr})
         with pytest.raises(ValueError, match=label):
             sink.ingest(x_i, bad_payload)
-    assert sink.y.shape[0] == 0
+    # nothing of a rejected stage is kept
+    assert sink.d.shape[1] == sink.h.shape[1] == sink._yb.shape[0] == 0
     sink.ingest(x_i, payload)
-    assert sink.y.shape[0] == 3
+    assert sink.d.shape[1] == payload.points.size
+    assert np.array_equal(sink._yb, x_i[independent_row_indices(f, x_i)])
 
 
 def test_stage_cap_exhaustion(gf16):
