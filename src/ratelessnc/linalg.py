@@ -7,6 +7,12 @@ transform, this module provides:
 
 * ``extend_row_basis`` -- grow a row basis by a block of new rows, which
   is how both sinks keep their observations;
+* ``solve_exact`` -- classify and solve ``a @ x = rhs``, which both sinks
+  decode through.  It eliminates only a leading block of rows, doubled
+  until its rank is the number of unknowns, and checks the remaining rows
+  against that block's solution with one product: exact, because a
+  full-rank block admits at most that one solution and an inconsistent
+  block makes the whole system inconsistent;
 * ``solve_in_row_space`` -- recover the combination matrix S with
   ``S (Y @ D) = H`` and classify the outcome by whether the recovered
   product ``S @ Y`` is unique;
@@ -130,6 +136,18 @@ def solve_exact(field: Field, a: np.ndarray, rhs: np.ndarray) -> SolveOutcome:
 
     UNIQUE requires every unknown to be determined; MULTIPLE means the
     system is consistent but underdetermined.
+
+    Tall systems are not eliminated whole.  The leading ``lead`` rows
+    (first min(rows, 2*cols)) are reduced, keeping only the pivot rows of
+    ``[a | rhs]``; while they are consistent but of rank below ``cols``,
+    ``lead`` doubles and the next rows are reduced against those pivot
+    rows.  This is exact: rows with no solution make the whole system
+    have none, and once the rank is ``cols`` the block's solution is the
+    only candidate, so one product checking it against every row past
+    ``lead`` decides UNIQUE or NO_SOLUTION.  With every row in and the
+    rank still short, the system is MULTIPLE.  Status and solution are
+    those of a full elimination; when the first 2*cols rows have full
+    rank, each pivot updates those rows only, not every row.
     """
     a = np.asarray(a)
     rhs = np.asarray(rhs)
@@ -138,15 +156,23 @@ def solve_exact(field: Field, a: np.ndarray, rhs: np.ndarray) -> SolveOutcome:
         rhs = rhs[:, None]
     if a.shape[0] != rhs.shape[0]:
         raise ValueError(f"dimension mismatch: {a.shape} vs rhs {rhs.shape}")
-    cols = a.shape[1]
-    work = np.hstack([a.astype(np.int64, copy=True), rhs.astype(np.int64, copy=True)])
-    pivots = _gauss_jordan(field, work, cols)
-    r = len(pivots)
-    if np.any(work[r:, cols:]):
-        return SolveOutcome(SolveStatus.NO_SOLUTION)
+    rows, cols = a.shape
+    work = np.hstack([a, rhs]).astype(np.int64, copy=False)
+    basis, done, lead = work[:0], 0, min(rows, 2 * cols)
+    while True:
+        block = np.vstack([basis, work[done:lead]])
+        r = len(_gauss_jordan(field, block, cols))
+        if np.any(block[r:, cols:]):
+            return SolveOutcome(SolveStatus.NO_SOLUTION)
+        basis = block[:r]
+        if r == cols or lead == rows:
+            break
+        done, lead = lead, min(rows, 2 * lead)
     if r < cols:
         return SolveOutcome(SolveStatus.MULTIPLE)
-    x = work[:r, cols:]
+    x = basis[:, cols:]
+    if np.any(field.sub(field.matmul(work[lead:, :cols], x), work[lead:, cols:])):
+        return SolveOutcome(SolveStatus.NO_SOLUTION)
     return SolveOutcome(SolveStatus.UNIQUE, x[:, 0] if vec else x)
 
 

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ratelessnc.field import get_field
 from ratelessnc.linalg import (
@@ -18,6 +20,7 @@ from ratelessnc.linalg import (
     vectorize,
     zeros,
 )
+from solve_reference import full_solve
 
 
 @pytest.fixture(scope="module")
@@ -219,6 +222,86 @@ def test_solve_exact_statuses(gf7):
     assert solve_exact(gf7, a, np.array([2, 3, 6])).status is SolveStatus.NO_SOLUTION
     wide = np.array([[1, 2, 3]])
     assert solve_exact(gf7, wide, np.array([4])).status is SolveStatus.MULTIPLE
+
+
+def _agrees_with_full_solve(field, a, rhs):
+    """solve_exact matches the full elimination and leaves its inputs alone."""
+    a_in, rhs_in = a.copy(), rhs.copy()
+    out = solve_exact(field, a, rhs)
+    assert np.array_equal(a, a_in) and np.array_equal(rhs, rhs_in)
+    ref = full_solve(field, a, rhs)
+    assert out.status is ref.status
+    if ref.status is SolveStatus.UNIQUE:
+        assert out.solution.shape == ref.solution.shape
+        assert np.array_equal(out.solution, ref.solution)
+    return out
+
+
+@st.composite
+def _linear_system(draw):
+    field = get_field(draw(st.sampled_from(["prime7", "gf2_4", "gf2_16"])))
+    shape = draw(st.sampled_from(["tall", "square", "wide"]))
+    cols = draw(st.integers(1 if shape == "wide" else 0, 6))
+    if shape == "tall":
+        rows = draw(st.integers(cols + 1, 8 * cols + 4))
+    else:
+        rows = cols if shape == "square" else draw(st.integers(0, cols - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        k = draw(st.integers(0, min(rows, cols)))  # low rank: a product of thin factors
+        a = field.matmul(field.sample(rng, (rows, k)), field.sample(rng, (k, cols)))
+    else:
+        a = field.sample(rng, (rows, cols))
+    width = draw(st.integers(1, 3))
+    rhs = field.matmul(a, field.sample(rng, (cols, width)))
+    kind = draw(st.sampled_from(["consistent", "one-row-off", "random"]))
+    if kind == "one-row-off" and rows:
+        i = draw(st.integers(0, rows - 1))
+        rhs[i] = field.add(rhs[i], 1)
+    elif kind == "random":
+        rhs = field.sample(rng, (rows, width))
+    return field, a, rhs[:, 0] if draw(st.booleans()) else rhs
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_linear_system())
+def test_solve_exact_agrees_with_full_elimination(system):
+    _agrees_with_full_solve(*system)
+
+
+def test_solve_exact_inconsistent_row_below_leading_block(gf16):
+    rng = np.random.default_rng(31)
+    a = gf16.sample(rng, (20, 3))
+    rhs = gf16.matmul(a, gf16.sample(rng, (3, 2)))
+    rhs[15, 1] = gf16.add(rhs[15, 1], 1)  # the leading 2*cols = 6 rows are consistent
+    assert _agrees_with_full_solve(gf16, a, rhs).status is SolveStatus.NO_SOLUTION
+
+
+def test_solve_exact_grows_a_rank_deficient_leading_block(gf16):
+    rng = np.random.default_rng(32)
+    a = gf16.sample(rng, (30, 3))
+    a[:10] = gf16.matmul(gf16.sample(rng, (10, 1)), gf16.sample(rng, (1, 3)))
+    rhs = gf16.matmul(a, gf16.sample(rng, (3, 1)))[:, 0]
+    assert rank(gf16, a[:6]) == 1
+    assert _agrees_with_full_solve(gf16, a, rhs).status is SolveStatus.UNIQUE
+
+
+def test_solve_exact_empty_and_short_systems(gf7):
+    rng = np.random.default_rng(33)
+    cases = {
+        (0, 3, 0): SolveStatus.MULTIPLE,
+        (0, 0, 0): SolveStatus.UNIQUE,
+        (4, 0, 0): SolveStatus.UNIQUE,
+        (4, 0, 1): SolveStatus.NO_SOLUTION,
+    }
+    for (rows, cols, rhs_value), status in cases.items():
+        rhs = np.full((rows, 2), rhs_value, dtype=np.int64)
+        assert _agrees_with_full_solve(gf7, zeros(rows, cols), rhs).status is status
+    # rows < 2*cols: the leading block is every row
+    a = np.array([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]])
+    x = gf7.sample(rng, 3)
+    assert _agrees_with_full_solve(gf7, a, gf7.matmul(a, x[:, None])[:, 0]).status is SolveStatus.UNIQUE
+    assert _agrees_with_full_solve(gf7, a[:2], x[:2]).status is SolveStatus.MULTIPLE
 
 
 # -- vandermonde / vectorize --------------------------------------------------

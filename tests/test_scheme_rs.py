@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from ratelessnc.channel import AdversaryStrategy, MatrixChannel, StageParams
 from ratelessnc.field import get_field
 from ratelessnc.harness import build_config, run_experiment, run_session
-from ratelessnc.linalg import SolveStatus, devectorize, rank, solve_exact, vectorize, zeros
+from ratelessnc.linalg import SolveStatus, devectorize, rank, vectorize, zeros
 from ratelessnc.records import Decode
 from ratelessnc.scheme_rs import (
     RsEncoder,
@@ -23,6 +23,7 @@ from ratelessnc.scheme_rs import (
     truth_vector,
 )
 from ratelessnc.scheme_sc import SourceMessage
+from solve_reference import full_solve
 
 
 @pytest.fixture(scope="module")
@@ -489,7 +490,7 @@ def test_structured_decode_agrees_with_dense_oracle(case):
         ke = sink.build_key_equation()
         if ke is None:
             continue
-        oracle = solve_exact(f, *dense_key_equation(ke, secret))
+        oracle = full_solve(f, *dense_key_equation(ke, secret))
         result = sink.try_decode(ke)
         assert result.status is _ORACLE_STATUS[oracle.status]
         if result.status is Decode.DECODED:
