@@ -21,8 +21,11 @@ entries; a unique solution decodes the message.  The sink keeps the key
 equation as its block factors and solves it from them: the basis
 expansions pin the non-basis unknowns, each basis suffix unknown sits
 alone in one parity row, and what remains is a system in the basis
-message unknowns only.  The dense matrix B is built only by
-``dense_key_equation``, the oracle behind ``validate`` and the tests.
+message unknowns only.  The decoder builds and solves only that system's
+leading rows, the ones the solver reads, and accepts a solution only if
+it passes a check of every block equation.  The dense matrix B is built
+only by ``dense_key_equation``, the oracle behind ``validate`` and the
+tests.
 Positional bookkeeping of the dummy padding is the delicate part: the same
 index map drives the staircase assembly, the dummy-slot constraints, and
 the scatter of suffix unknowns into parity rows.
@@ -357,8 +360,16 @@ class RsSinkState:
         each basis suffix unknown sits alone in its parity row, so
         l_a = c - A_x x_a.  What remains is one equation per L_b slot:
         the parity rows of the kept slots and zero on the dummy slots, in
-        the b(r-b) unknowns of x_a only.  A solution is re-verified against
-        the three block equations before it is accepted."""
+        the b(r-b) unknowns of x_a only.
+
+        Only the rows ``solve_exact`` reads are built: those of the leading
+        g = min(gamma, ceil(2 b(r-b) / (i sigma))) L_b columns, which hold
+        its leading 2 b(r-b) rows.  The slice's elimination is then the full
+        system's, so NO_SOLUTION on it is final; MULTIPLE with rows left
+        over is re-solved on every row.  A unique candidate is accepted only
+        if it satisfies the three block equations, which cover every row of
+        B v = rhs; when rows were left unread, a candidate that fails them
+        means the full system has no solution."""
         f = self.field
         p = self.params
         if ke is None:
@@ -392,14 +403,26 @@ class RsSinkState:
         # vec(L_a) with its dummy slots zero, pushed through vec(Z) -> vec(Z F_e)
         la_aff = linalg.zeros(n_basis_slots, theta_a + 1)
         la_aff[kept_a] = l_aff[rows_a]
-        lb_aff = f.matmul(ke.f_e.T, la_aff.reshape(r_bar - isig, isig * (theta_a + 1)))
-        lb_aff = lb_aff.reshape(gamma * isig, theta_a + 1)
-        lb_aff[:, theta_a] = f.add(lb_aff[:, theta_a], linalg.vectorize(ke.f_a))
-        # ... must equal the parity value on kept slots and zero on dummy ones
-        want = linalg.zeros(gamma * isig, theta_a + 1)
-        want[kept_b] = l_aff[rows_b]
-        diff = f.sub(lb_aff, want)
-        out = linalg.solve_exact(f, diff[:, :theta_a], f.neg(diff[:, theta_a]))
+        la_aff = la_aff.reshape(r_bar - isig, isig * (theta_a + 1))
+        f_a_vec = linalg.vectorize(ke.f_a)
+
+        def solve_leading(g: int):
+            # rows of the leading g L_b columns: row c*isig + s is slot s of column c
+            rows = g * isig
+            lb_aff = f.matmul(ke.f_e.T[:g], la_aff).reshape(rows, theta_a + 1)
+            lb_aff[:, theta_a] = f.add(lb_aff[:, theta_a], f_a_vec[:rows])
+            # ... must equal the parity value on kept slots and zero on dummy ones
+            kept = kept_b[:rows]
+            want = linalg.zeros(rows, theta_a + 1)
+            want[kept] = l_aff[rows_b[: int(kept.sum())]]
+            diff = f.sub(lb_aff, want)
+            return linalg.solve_exact(f, diff[:, :theta_a], f.neg(diff[:, theta_a]))
+
+        g = min(gamma, -(-2 * theta_a // isig))
+        out = solve_leading(g)
+        if out.status is SolveStatus.MULTIPLE and g < gamma:
+            g = gamma
+            out = solve_leading(g)
         if out.status is not SolveStatus.UNIQUE:
             return unsolved(out.status)
 
@@ -410,6 +433,8 @@ class RsSinkState:
         l_a = linalg.devectorize(l_a, isig, r_bar - isig)
         l_b = f.add(f.matmul(l_a, ke.f_e), ke.f_a)
         if not _blocks_hold(f, ke, x_a, x_b, l_a, l_b):
+            if g < gamma:  # an unread row excludes the only candidate
+                return unsolved(SolveStatus.NO_SOLUTION)
             raise AssertionError("key equation bookkeeping inconsistent with solution")
 
         w_hat = linalg.zeros(b, p.n)

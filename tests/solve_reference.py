@@ -1,13 +1,19 @@
-"""Full-elimination reference for ``linalg.solve_exact``.
+"""Full-elimination references for the decoders' solves.
 
-Gauss-Jordan over every row of ``[a | rhs]``, with no early exit: the
-oracle that the early-exit solver and the random-secret dense key-equation
-check are compared against, kept apart from the code the decoders run.
+``full_solve`` is Gauss-Jordan over every row of ``[a | rhs]``, with no
+early exit: the oracle that ``linalg.solve_exact`` and the random-secret
+dense key-equation check are compared against.  ``full_row_decode`` builds
+every row of the random-secret reduced key equation and solves it whole:
+the oracle for ``RsSinkState.try_decode``, which builds only the rows its
+solver reads.  Both are kept apart from the code the decoders run.
 """
 
 import numpy as np
 
+from ratelessnc import linalg
 from ratelessnc.linalg import SolveOutcome, SolveStatus, _gauss_jordan
+from ratelessnc.records import Decode, DecodeResult, unsolved
+from ratelessnc.scheme_rs import _blocks_hold
 
 
 def full_solve(field, a, rhs) -> SolveOutcome:
@@ -28,3 +34,57 @@ def full_solve(field, a, rhs) -> SolveOutcome:
         return SolveOutcome(SolveStatus.MULTIPLE)
     x = work[:r, cols:]
     return SolveOutcome(SolveStatus.UNIQUE, x[:, 0] if vec else x)
+
+
+def full_row_decode(f, p, ke) -> DecodeResult:
+    """Decode a ``KeyEquation`` from all gamma * i * sigma rows of its
+    reduced system in the basis message unknowns x_a."""
+    if ke is None:
+        return DecodeResult(Decode.NEED_MORE)
+    b = p.b
+    isig = ke.stage * p.sigma
+    r, r_bar, gamma = ke.r, ke.r_bar, ke.gamma
+    theta_a = b * (r - b)
+    n_basis_slots = (r_bar - isig) * isig
+    kept_a = ke.kept_mask[:n_basis_slots]
+    kept_b = ke.kept_mask[n_basis_slots:]
+    la_cnt = int(kept_a.sum())
+    rows_a = ke.l_kept_idx[:la_cnt]      # parity row of each basis suffix unknown
+    rows_b = ke.l_kept_idx[la_cnt:]      # and of each kept non-basis one
+
+    # parity rows as affine maps of x_a, [coefficients | constant]
+    d_a, d_b = ke.parity[:, :theta_a], ke.parity[:, theta_a:]
+    alpha_tot = ke.parity.shape[0]
+    d_b_fz = f.matmul(ke.f_z, d_b.reshape(alpha_tot, ke.beta, b).transpose(1, 0, 2)
+                      .reshape(ke.beta, alpha_tot * b))
+    a_x = f.add(d_a, d_b_fz.reshape(r - b, alpha_tot, b).transpose(1, 0, 2)
+                .reshape(alpha_tot, theta_a))
+    c = f.sub(ke.targets, f.matmul(d_b, linalg.vectorize(ke.f_x)[:, None])[:, 0])
+    l_aff = np.hstack([f.neg(a_x), c[:, None]])
+
+    # vec(L_a) with its dummy slots zero, pushed through vec(Z) -> vec(Z F_e)
+    la_aff = linalg.zeros(n_basis_slots, theta_a + 1)
+    la_aff[kept_a] = l_aff[rows_a]
+    lb_aff = f.matmul(ke.f_e.T, la_aff.reshape(r_bar - isig, isig * (theta_a + 1)))
+    lb_aff = lb_aff.reshape(gamma * isig, theta_a + 1)
+    lb_aff[:, theta_a] = f.add(lb_aff[:, theta_a], linalg.vectorize(ke.f_a))
+    # ... must equal the parity value on kept slots and zero on dummy ones
+    want = linalg.zeros(gamma * isig, theta_a + 1)
+    want[kept_b] = l_aff[rows_b]
+    diff = f.sub(lb_aff, want)
+    out = full_solve(f, diff[:, :theta_a], f.neg(diff[:, theta_a]))
+    if out.status is not SolveStatus.UNIQUE:
+        return unsolved(out.status)
+
+    x_a = linalg.devectorize(out.solution, b, r - b)
+    x_b = f.add(f.matmul(x_a, ke.f_z), ke.f_x)
+    l_a = np.zeros(n_basis_slots, dtype=np.int64)
+    l_a[kept_a] = f.matmul(l_aff[rows_a], np.append(out.solution, 1)[:, None])[:, 0]
+    l_a = linalg.devectorize(l_a, isig, r_bar - isig)
+    l_b = f.add(f.matmul(l_a, ke.f_e), ke.f_a)
+    if not _blocks_hold(f, ke, x_a, x_b, l_a, l_b):
+        raise AssertionError("key equation bookkeeping inconsistent with solution")
+
+    w_hat = linalg.zeros(b, p.n)
+    w_hat[:, ke.x_col_order] = np.hstack([x_a, x_b])
+    return DecodeResult(Decode.DECODED, w=w_hat)

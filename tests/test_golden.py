@@ -50,3 +50,24 @@ def test_long_random_secret_digest(tmp_path):
     csv_path, _ = emit_outputs(records, summary, tmp_path)
     assert (hashlib.sha256(csv_path.read_bytes()).hexdigest()
             == "f4f1d414504e19e4ac3df42152d4eb461bd340f0b4ecc2c9d4c6b165d2db8dd3")
+
+
+# random-secret at q = 7: small enough that some sessions meet an ambiguous
+# (MULTIPLE) key equation or never leave NO_SOLUTION, so this digest pins how
+# the decoder classifies both, alongside the sessions it decodes
+RS_SMALL_Q = {
+    "scheme": "random-secret", "field": "prime7", "b": 2, "n": 3, "sigma": 1, "m": "auto",
+    "trials": 200, "seed": 5, "stage_cap": 8,
+    "stages": {"kind": "fixed", "schedule": [{"M": 4, "z": 2}, {"M": 4, "z": 1}]},
+    "short_stages": {"kind": "fixed", "schedule": [{"M": 2, "z": 1}]},
+}
+
+
+def test_small_field_random_secret_digest(tmp_path):
+    records, summary = run_experiment(build_config(RS_SMALL_Q))
+    outcomes = [r.outcome for r in records]
+    assert {o: outcomes.count(o) for o in set(outcomes)} == {
+        "decoded": 171, "exhausted": 26, "failure": 3}
+    csv_path, _ = emit_outputs(records, summary, tmp_path)
+    assert (hashlib.sha256(csv_path.read_bytes()).hexdigest()
+            == "78630bb5de4cca98871a8aa84ea704385db57678341655da30b20d65a41dc646")

@@ -1,3 +1,6 @@
+import collections
+import copy
+import dataclasses
 import itertools
 
 import numpy as np
@@ -5,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ratelessnc import linalg
 from ratelessnc.channel import AdversaryStrategy, MatrixChannel, StageParams
 from ratelessnc.field import get_field
 from ratelessnc.harness import build_config, run_experiment, run_session
-from ratelessnc.linalg import SolveStatus, devectorize, rank, vectorize, zeros
+from ratelessnc.linalg import SolveOutcome, SolveStatus, devectorize, rank, vectorize, zeros
 from ratelessnc.records import Decode
 from ratelessnc.scheme_rs import (
     RsEncoder,
@@ -23,7 +27,7 @@ from ratelessnc.scheme_rs import (
     truth_vector,
 )
 from ratelessnc.scheme_sc import SourceMessage
-from solve_reference import full_solve
+from solve_reference import full_row_decode, full_solve
 
 
 @pytest.fixture(scope="module")
@@ -497,6 +501,93 @@ def test_structured_decode_agrees_with_dense_oracle(case):
             w = zeros(p.b, p.n)
             w[:, ke.x_col_order] = devectorize(oracle.solution[: p.n * p.b], p.b, p.n)
             assert np.array_equal(result.w, w)
+
+
+def _key_equations(case):
+    """Run one drawn session and yield (sink, key equation) per stage that
+    has one."""
+    f, p, stages, adversary, seed = case
+    rng = np.random.default_rng(seed)
+    msg = SourceMessage.random(f, p.b, p.n, rng)
+    secret = SharedSecret(f, p, np.random.default_rng([seed, 777]))
+    enc = RsEncoder(f, p, msg, secret)
+    sink = RsSinkState(f, p, secret)
+    chan = MatrixChannel(f, AdversaryStrategy(adversary))
+    for i, (lp, sp) in enumerate(stages, start=1):
+        x_i, a_i = enc.encode_stage(i, lp.c, sp.c, rng)
+        sink.ingest(chan(lp, x_i, rng).Y, chan(sp, a_i, rng).Y)
+        ke = sink.build_key_equation()
+        if ke is not None:
+            yield sink, ke
+
+
+def test_leading_row_decode_agrees_with_full_rows(monkeypatch):
+    # try_decode builds and solves only the leading rows of the reduced
+    # system; status and W must be those of the full-row build.  Forcing
+    # MULTIPLE on the slice takes the full-row fallback, which the drawn
+    # sessions almost never reach on their own.
+    real_solve = linalg.solve_exact
+    calls = []
+    force = [False, 0]  # [force MULTIPLE on a slice, full row count]
+
+    def spy(field, a, rhs):
+        out = real_solve(field, a, rhs)
+        calls.append((a.shape[0], out.status))
+        if force[0] and a.shape[0] < force[1]:
+            return SolveOutcome(SolveStatus.MULTIPLE)
+        return out
+
+    monkeypatch.setattr(linalg, "solve_exact", spy)
+    hits = collections.Counter()
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(_rs_case(), st.booleans())
+    def check(case, forced):
+        p = case[1]
+        for sink, ke in _key_equations(case):
+            full_rows = ke.gamma * ke.stage * p.sigma
+            force[:] = [forced, full_rows]
+            calls.clear()
+            result = sink.try_decode(ke)
+            expect = full_row_decode(sink.field, p, ke)
+            assert result.status is expect.status
+            assert (result.w is None) == (expect.w is None)
+            if expect.w is not None:
+                assert np.array_equal(result.w, expect.w)
+            if ke.r == p.b:
+                hits["theta = 0"] += 1
+            if not calls:
+                continue
+            rows, status = calls[0]
+            if len(calls) == 2:
+                assert rows < full_rows and calls[1][0] == full_rows
+                hits["fallback"] += 1
+            elif rows == full_rows:
+                hits["g = gamma"] += 1
+            elif status is SolveStatus.UNIQUE:
+                hits["slice accepted" if result.decoded else "slice rejected"] += 1
+
+    check()
+    assert set(hits) == {"theta = 0", "g = gamma", "fallback",
+                         "slice accepted", "slice rejected"}, hits
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_rs_case())
+def test_try_decode_leaves_key_equation_alone(case):
+    # the decoder reads slices and views of the key equation's arrays;
+    # decoding twice gives the same answer and changes none of them
+    for sink, ke in _key_equations(case):
+        before = copy.deepcopy(ke)
+        first, second = sink.try_decode(ke), sink.try_decode(ke)
+        assert first.status is second.status
+        assert (first.w is None and second.w is None) or np.array_equal(first.w, second.w)
+        for fld in dataclasses.fields(ke):
+            old, new = getattr(before, fld.name), getattr(ke, fld.name)
+            if isinstance(old, np.ndarray):
+                assert old.dtype == new.dtype and np.array_equal(old, new), fld.name
+            else:
+                assert old == new, fld.name
 
 
 def test_sink_rejects_bad_widths(gf16):
