@@ -40,6 +40,7 @@ from .linalg import (
     SolveStatus,
     devectorize,
     extend_row_basis,
+    extend_rref,
     independent_row_indices,
     rank,
     rref_with_transform,

@@ -183,8 +183,13 @@ class GF2Field(Field):
         exp = self._exp
         la = self._log[a]
         lb = self._log[b]
-        # loop over the shorter output axis; each pass gathers a k-by-long slab
-        if m <= n:
+        # loop over the shortest of the three axes: one rank-1 update per
+        # inner index (XOR sums commute), or one k-by-long slab per row or
+        # column of the shorter output axis
+        if k < min(m, n):
+            for t in range(k):
+                out ^= exp[la[:, t][:, None] + lb[t][None, :]]
+        elif m <= n:
             for i in range(m):
                 out[i] = np.bitwise_xor.reduce(exp[la[i][:, None] + lb], axis=0)
         else:

@@ -6,7 +6,12 @@ are ``Field.matmul``).  Besides reduced row echelon form with a recorded
 transform, this module provides:
 
 * ``extend_row_basis`` -- grow a row basis by a block of new rows, which
-  is how both sinks keep their observations;
+  is how the secret-channel sink keeps its observations;
+* ``extend_rref`` -- grow a reduced row echelon form by a block of new
+  rows, which is how the random-secret sink keeps its observations: the
+  new rows are reduced against the kept pivots with one product, only
+  their remainder is eliminated, and one more product back-substitutes
+  its pivots into the kept rows, so the work grows with the new rows;
 * ``solve_exact`` -- classify and solve ``a @ x = rhs``, which both sinks
   decode through.  It eliminates only a leading block of rows, doubled
   until its rank is the number of unknowns, and checks the remaining rows
@@ -119,6 +124,27 @@ def extend_row_basis(field: Field, basis: np.ndarray, rows: np.ndarray) -> np.nd
     return stacked[independent_row_indices(field, stacked)]
 
 
+def extend_rref(field: Field, rref: np.ndarray, pivots: list[int],
+                rows: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form of ``[rref; rows]``, given ``rref`` in that
+    form (no zero rows) with pivot columns ``pivots``.
+
+    The new rows are reduced against the kept pivots with one product and
+    what is left of them is eliminated on its own, taking at most one
+    pivot per new row; one more product clears the new pivot columns from
+    the kept rows.  Returns the merged rows in pivot-column order and
+    their pivots: the unique reduced form of the stacked rows."""
+    rows = field.sub(rows, field.matmul(np.asarray(rows)[:, pivots], rref))
+    new = _gauss_jordan(field, rows, rows.shape[1])
+    if not new:
+        return rref, pivots
+    fresh = rows[: len(new)]
+    rref = field.sub(rref, field.matmul(rref[:, new], fresh))
+    merged = pivots + new
+    order = np.argsort(merged, kind="stable")
+    return np.vstack([rref, fresh])[order], [merged[j] for j in order]
+
+
 class SolveStatus(enum.Enum):
     UNIQUE = "unique"
     NO_SOLUTION = "no_solution"
@@ -210,17 +236,19 @@ def solve_in_row_space(field: Field, y: np.ndarray, dm: np.ndarray, h: np.ndarra
 def vandermonde(field: Field, points, num_rows: int) -> np.ndarray:
     """Matrix with entry (k, j) = points[j] ** (k+1), k in [0, num_rows).
 
-    One column per evaluation point; exponents run 1..num_rows.
+    One column per evaluation point; exponents run 1..num_rows.  The rows
+    are built by doubling, in ceil(log2 num_rows) products.
     """
     if num_rows < 1:
         raise ValueError("num_rows must be >= 1")
-    points = np.asarray(points, dtype=np.int64)
-    out = np.empty((num_rows, points.size), dtype=np.int64)
-    row = points.copy()
-    out[0] = row
-    for k in range(1, num_rows):
-        row = field.mul(row, points)
-        out[k] = row
+    out = np.empty((num_rows, np.size(points)), dtype=np.int64)
+    out[0] = points
+    # rows [h, 2h) are rows [0, h) times points**h, which is row h-1
+    h = 1
+    while h < num_rows:
+        t = min(h, num_rows - h)
+        out[h: h + t] = field.mul(out[:t], out[h - 1])
+        h += t
     return out
 
 

@@ -11,21 +11,24 @@ packet kinds through separate channels:
 * short packets: random combinations of a staircase of suffix blocks
   ``(L_k | dummy 0 | 0 | I)``, whose width grows with the stage.
 
-The sink keeps a row basis of each packet kind's observations, grown as
-stages arrive (short rows re-padded to each stage's width).  The decoder
-extracts column bases of both (the trailing identity columns are
-independent with overwhelming probability)
-and expresses the rest in those bases.  Together with the parity rows
-this gives one linear key equation over the unknown message and suffix
-entries; a unique solution decodes the message.  The sink keeps the key
-equation as its block factors and solves it from them: the basis
-expansions pin the non-basis unknowns, each basis suffix unknown sits
-alone in one parity row, and what remains is a system in the basis
-message unknowns only.  The decoder builds and solves only that system's
-leading rows, the ones the solver reads, and accepts a solution only if
-it passes a check of every block equation.  The dense matrix B is built
-only by ``dense_key_equation``, the oracle behind ``validate`` and the
-tests.
+The sink keeps each packet kind's observations in reduced row echelon
+form, identity columns first, extended by each stage's new rows with
+``linalg.extend_rref`` (short rows re-padded to each stage's width, which
+keeps the form).  The decoder reads the column bases of both off those
+forms without eliminating anything: the pivot columns are the identity
+columns (independent with overwhelming probability) followed by the
+greedy in-order basis of the rest, and the non-pivot columns express the
+rest in those bases.  Together with the parity rows this gives one linear
+key equation over the unknown message and suffix entries; a unique
+solution decodes the message.  The sink keeps the key equation as its
+block factors and solves it from them: the basis expansions pin the
+non-basis unknowns, each basis suffix unknown sits alone in one parity
+row, and what remains is a system in the basis message unknowns only.
+The decoder builds and solves only that system's leading rows, the ones
+the solver reads, from only the parity rows those rows use, and accepts a
+solution only if it passes a check of every block equation.  The dense
+matrix B is built only by ``dense_key_equation``, the oracle behind
+``validate`` and the tests.
 Positional bookkeeping of the dummy padding is the delicate part: the same
 index map drives the staircase assembly, the dummy-slot constraints, and
 the scatter of suffix unknowns into parity rows.
@@ -251,8 +254,8 @@ class KeyEquation:
 
 
 class RsSinkState:
-    """Row bases of one session's long and short observations, found top to
-    bottom, and the decoder."""
+    """Both observation stacks kept in reduced row echelon form, identity
+    columns first, and the decoder."""
 
     def __init__(self, field: Field, params: RsParams, secret: SharedSecret):
         params.check_field(field)
@@ -260,8 +263,10 @@ class RsSinkState:
         self.params = params
         self.secret = secret
         self.stage = 0
-        self._yb = linalg.zeros(0, params.n + params.b)
-        self._jb = linalg.zeros(0, 0)
+        # long basis over columns (n..n+b, 0..n); short basis over the
+        # i*sigma identity columns, then the i*m L columns
+        self._yb, self._ypiv = linalg.zeros(0, params.n + params.b), []
+        self._jb, self._jpiv = linalg.zeros(0, 0), []
 
     def ingest(self, y_i: np.ndarray, j_i: np.ndarray) -> None:
         p = self.params
@@ -272,61 +277,61 @@ class RsSinkState:
             raise ValueError(
                 f"short packet width {j_i.shape[1]} != i*(m+sigma) = {i * (p.m + p.sigma)}"
             )
-        self.field.check_range(y_i, "long packet symbols")
-        self.field.check_range(j_i, "short packet symbols")
-        # re-pad the short basis with this stage's dummy zeros, exactly as
-        # the staircase rows are; zero columns leave row independence alone
-        cut = (i - 1) * p.m
+        f = self.field
+        f.check_range(y_i, "long packet symbols")
+        f.check_range(j_i, "short packet symbols")
+        # both bases put the packets' trailing identity columns first
+        self._yb, self._ypiv = linalg.extend_rref(
+            f, self._yb, self._ypiv, np.roll(y_i, p.b, axis=1))
+        # re-pad the short basis with this stage's zero identity and dummy
+        # columns, exactly as the staircase rows are; zero columns keep the
+        # reduced form, shifting the pivots past the inserted identity block
+        cut = (i - 1) * p.sigma
         rows = self._jb.shape[0]
-        jb = np.hstack([self._jb[:, :cut], linalg.zeros(rows, p.m),
-                        self._jb[:, cut:], linalg.zeros(rows, p.sigma)])
-        self._yb = linalg.extend_row_basis(self.field, self._yb, y_i)
-        self._jb = linalg.extend_row_basis(self.field, jb, j_i)
+        jb = np.hstack([self._jb[:, :cut], linalg.zeros(rows, p.sigma),
+                        self._jb[:, cut:], linalg.zeros(rows, p.m)])
+        jpiv = [c if c < cut else c + p.sigma for c in self._jpiv]
+        self._jb, self._jpiv = linalg.extend_rref(
+            f, jb, jpiv, np.roll(j_i, i * p.sigma, axis=1))
         self.stage = i
 
     # -- decoding -------------------------------------------------------
-    def _extract_side(self, sel_rows: np.ndarray, ident_cols: int, scan_limit: int,
-                      scan_order=None):
-        """Over a row basis, take the trailing ident_cols as the forced
-        column basis part, greedily complete the basis from the leading
-        columns, and express the remaining columns in that basis.
+    def _extract_side(self, rref: np.ndarray, pivots: list[int], ident_cols: int,
+                      scan_limit: int):
+        """Read the column basis and the expansions off one kept basis.
 
-        One Gauss-Jordan pass over (forced columns, then the scan order)
-        does both: its pivot columns are the greedy in-order basis and its
-        reduced non-pivot columns are the expansion coefficients.  Returns
-        None when the rows cannot support the forced basis yet."""
-        r = sel_rows.shape[0]
-        if r < ident_cols:
-            return None
-        order = np.arange(scan_limit) if scan_order is None else np.asarray(scan_order)
-        work = sel_rows[:, np.concatenate([np.arange(scan_limit, scan_limit + ident_cols),
-                                           order])]
-        pivots = linalg._gauss_jordan(self.field, work, work.shape[1])
+        ``rref`` is in reduced row echelon form over (the ident_cols
+        identity columns, then the scan_limit leading ones), so its pivot
+        columns are the greedy in-order column basis that starts with the
+        identity columns, and its non-pivot columns are the coefficients
+        expressing the rest in that basis: no elimination is needed.
+        Returns the rows in the packets' column layout (leading columns,
+        then identity), their count, the chosen and remaining leading
+        columns and the coefficients with the chosen columns' rows first;
+        None when some identity column is not a pivot yet."""
+        r = rref.shape[0]
         if pivots[:ident_cols] != list(range(ident_cols)):
             return None  # trailing identity image degenerate this stage
-        chosen = [int(order[c - ident_cols]) for c in pivots[ident_cols:]]
+        chosen = [c - ident_cols for c in pivots[ident_cols:]]
         rest = sorted(set(range(scan_limit)) - set(chosen))
-        where = np.empty(scan_limit, dtype=np.int64)
-        where[order] = np.arange(ident_cols, ident_cols + scan_limit)
-        reduced = work[:, where[rest]]
-        # pivot rows come forced-first; the basis is ordered chosen-first
+        reduced = rref[:, [ident_cols + c for c in rest]]
+        # pivot rows come identity-first; the basis is ordered chosen-first
         coef = np.vstack([reduced[ident_cols:], reduced[:ident_cols]])
-        return sel_rows, r, chosen, rest, coef
+        return np.roll(rref, -ident_cols, axis=1), r, chosen, rest, coef
 
-    def build_key_equation(self, scan_order_long=None, scan_order_short=None
-                           ) -> KeyEquation | None:
-        """Extract both column bases and collect the key equation's block
-        factors; None while the observations cannot support the required
-        identity-column bases."""
+    def build_key_equation(self) -> KeyEquation | None:
+        """Read both column bases off the kept bases and collect the key
+        equation's block factors; None while the observations cannot
+        support the required identity-column bases."""
         p = self.params
         i = self.stage
         if i == 0:
             return None
-        long_side = self._extract_side(self._yb, p.b, p.n, scan_order_long)
+        long_side = self._extract_side(self._yb, self._ypiv, p.b, p.n)
         if long_side is None:
             return None
         yp, r, sel_y, rest_y, coef_y = long_side
-        short_side = self._extract_side(self._jb, i * p.sigma, i * p.m, scan_order_short)
+        short_side = self._extract_side(self._jb, self._jpiv, i * p.sigma, i * p.m)
         if short_side is None:
             return None
         jp, r_bar, sel_j, rest_j, coef_j = short_side
@@ -364,12 +369,14 @@ class RsSinkState:
 
         Only the rows ``solve_exact`` reads are built: those of the leading
         g = min(gamma, ceil(2 b(r-b) / (i sigma))) L_b columns, which hold
-        its leading 2 b(r-b) rows.  The slice's elimination is then the full
-        system's, so NO_SOLUTION on it is final; MULTIPLE with rows left
-        over is re-solved on every row.  A unique candidate is accepted only
-        if it satisfies the three block equations, which cover every row of
-        B v = rhs; when rows were left unread, a candidate that fails them
-        means the full system has no solution."""
+        its leading 2 b(r-b) rows, and only the parity rows they use, those
+        of the L_a slots and of the slice's kept slots.  The slice's
+        elimination is then the full system's, so NO_SOLUTION on it is
+        final; MULTIPLE with rows left over is re-solved on every row, the
+        one case that builds every parity row.  A unique candidate is
+        accepted only if it satisfies the three block equations, which
+        cover every row of B v = rhs; when rows were left unread, a
+        candidate that fails them means the full system has no solution."""
         f = self.field
         p = self.params
         if ke is None:
@@ -386,23 +393,27 @@ class RsSinkState:
         la_cnt = int(kept_a.sum())
         rows_a = ke.l_kept_idx[:la_cnt]      # parity row of each basis suffix unknown
         rows_b = ke.l_kept_idx[la_cnt:]      # and of each kept non-basis one
+        f_x_vec = linalg.vectorize(ke.f_x)
 
-        # parity rows as affine maps of x_a, [coefficients | constant]:
-        # D x = D_a x_a + D_b vec(X_a F_z + F_x), where D_b vec(X_a F_z) is
-        # one F_z product over D_b's columns regrouped by X_b column
-        d_a, d_b = ke.parity[:, :theta_a], ke.parity[:, theta_a:]
-        alpha_tot = ke.parity.shape[0]
-        d_b_fz = f.matmul(ke.f_z, d_b.reshape(alpha_tot, ke.beta, b).transpose(1, 0, 2)
-                          .reshape(ke.beta, alpha_tot * b))
-        a_x = f.add(d_a, d_b_fz.reshape(r - b, alpha_tot, b).transpose(1, 0, 2)
-                    .reshape(alpha_tot, theta_a))
-        c = f.sub(ke.targets, f.matmul(d_b, linalg.vectorize(ke.f_x)[:, None])[:, 0])
-        # l = c - A_x x_a on every kept slot
-        l_aff = np.hstack([f.neg(a_x), c[:, None]])
+        def l_aff(rows):
+            # the given parity rows as affine maps of x_a, l = c - A_x x_a,
+            # as [-A_x | c]: D x = D_a x_a + D_b vec(X_a F_z + F_x), where
+            # D_b vec(X_a F_z) is one F_z product over D_b's columns
+            # regrouped by X_b column
+            d = ke.parity[rows]
+            d_a, d_b = d[:, :theta_a], d[:, theta_a:]
+            cnt = d.shape[0]
+            d_b_fz = f.matmul(ke.f_z, d_b.reshape(cnt, ke.beta, b).transpose(1, 0, 2)
+                              .reshape(ke.beta, cnt * b))
+            a_x = f.add(d_a, d_b_fz.reshape(r - b, cnt, b).transpose(1, 0, 2)
+                        .reshape(cnt, theta_a))
+            c = f.sub(ke.targets[rows], f.matmul(d_b, f_x_vec[:, None])[:, 0])
+            return np.hstack([f.neg(a_x), c[:, None]])
 
         # vec(L_a) with its dummy slots zero, pushed through vec(Z) -> vec(Z F_e)
+        l_aff_a = l_aff(rows_a)
         la_aff = linalg.zeros(n_basis_slots, theta_a + 1)
-        la_aff[kept_a] = l_aff[rows_a]
+        la_aff[kept_a] = l_aff_a
         la_aff = la_aff.reshape(r_bar - isig, isig * (theta_a + 1))
         f_a_vec = linalg.vectorize(ke.f_a)
 
@@ -414,7 +425,7 @@ class RsSinkState:
             # ... must equal the parity value on kept slots and zero on dummy ones
             kept = kept_b[:rows]
             want = linalg.zeros(rows, theta_a + 1)
-            want[kept] = l_aff[rows_b[: int(kept.sum())]]
+            want[kept] = l_aff(rows_b[: int(kept.sum())])
             diff = f.sub(lb_aff, want)
             return linalg.solve_exact(f, diff[:, :theta_a], f.neg(diff[:, theta_a]))
 
@@ -429,7 +440,7 @@ class RsSinkState:
         x_a = linalg.devectorize(out.solution, b, r - b)
         x_b = f.add(f.matmul(x_a, ke.f_z), ke.f_x)
         l_a = np.zeros(n_basis_slots, dtype=np.int64)
-        l_a[kept_a] = f.matmul(l_aff[rows_a], np.append(out.solution, 1)[:, None])[:, 0]
+        l_a[kept_a] = f.matmul(l_aff_a, np.append(out.solution, 1)[:, None])[:, 0]
         l_a = linalg.devectorize(l_a, isig, r_bar - isig)
         l_b = f.add(f.matmul(l_a, ke.f_e), ke.f_a)
         if not _blocks_hold(f, ke, x_a, x_b, l_a, l_b):

@@ -5,7 +5,12 @@ early exit: the oracle that ``linalg.solve_exact`` and the random-secret
 dense key-equation check are compared against.  ``full_row_decode`` builds
 every row of the random-secret reduced key equation and solves it whole:
 the oracle for ``RsSinkState.try_decode``, which builds only the rows its
-solver reads.  Both are kept apart from the code the decoders run.
+solver reads.  ``extract_side`` finds a column basis and the expansions
+over it by one Gauss-Jordan pass over a row basis, in any scan order: the
+oracle for ``RsSinkState._extract_side``, which reads them off the reduced
+bases it keeps.  ``repad_short_rows`` stacks received short rows at the
+current stage's staircase width.  All are kept apart from the code the
+decoders run.
 """
 
 import numpy as np
@@ -88,3 +93,42 @@ def full_row_decode(f, p, ke) -> DecodeResult:
     w_hat = linalg.zeros(b, p.n)
     w_hat[:, ke.x_col_order] = np.hstack([x_a, x_b])
     return DecodeResult(Decode.DECODED, w=w_hat)
+
+
+def extract_side(field, sel_rows: np.ndarray, ident_cols: int, scan_limit: int,
+                 scan_order=None):
+    """Over a row basis, take the trailing ident_cols as the forced
+    column basis part, greedily complete the basis from the leading
+    columns, and express the remaining columns in that basis.
+
+    One Gauss-Jordan pass over (forced columns, then the scan order)
+    does both: its pivot columns are the greedy in-order basis and its
+    reduced non-pivot columns are the expansion coefficients.  Returns
+    None when the rows cannot support the forced basis yet."""
+    r = sel_rows.shape[0]
+    if r < ident_cols:
+        return None
+    order = np.arange(scan_limit) if scan_order is None else np.asarray(scan_order)
+    work = sel_rows[:, np.concatenate([np.arange(scan_limit, scan_limit + ident_cols),
+                                       order])]
+    pivots = linalg._gauss_jordan(field, work, work.shape[1])
+    if pivots[:ident_cols] != list(range(ident_cols)):
+        return None  # trailing identity image degenerate this stage
+    chosen = [int(order[c - ident_cols]) for c in pivots[ident_cols:]]
+    rest = sorted(set(range(scan_limit)) - set(chosen))
+    where = np.empty(scan_limit, dtype=np.int64)
+    where[order] = np.arange(ident_cols, ident_cols + scan_limit)
+    reduced = work[:, where[rest]]
+    # pivot rows come forced-first; the basis is ordered chosen-first
+    coef = np.vstack([reduced[ident_cols:], reduced[:ident_cols]])
+    return sel_rows, r, chosen, rest, coef
+
+
+def repad_short_rows(shorts, m: int, sigma: int) -> np.ndarray:
+    """Short rows received at stages 1..i, the stage-k rows re-padded with
+    the dummy and identity zeros of stages k+1..i, stacked."""
+    i = len(shorts)
+    return np.vstack([
+        np.hstack([jk[:, : k * m], linalg.zeros(jk.shape[0], (i - k) * m),
+                   jk[:, k * m:], linalg.zeros(jk.shape[0], (i - k) * sigma)])
+        for k, jk in enumerate(shorts, start=1)])

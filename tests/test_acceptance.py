@@ -19,6 +19,7 @@ from ratelessnc.linalg import (
 )
 from ratelessnc.scheme_rs import RsEncoder, RsParams, RsSinkState, SharedSecret
 from ratelessnc.scheme_sc import SinkStateSC, SourceMessage, sc_encode_stage
+from solve_reference import repad_short_rows
 
 CRITERION_1 = {
     "scheme": "secret-channel",
@@ -236,8 +237,9 @@ def _batch_basis(f, stacked):
 
 def test_sink_bases_equal_batch():
     # the live counterpart of criterion 6: both sinks grow their row bases
-    # stage by stage, and after every ingest each basis equals the batch
-    # top-to-bottom selection over every row received so far
+    # stage by stage, and after every ingest the secret-channel basis equals
+    # the batch top-to-bottom selection over every row received so far and
+    # each random-secret basis the batch reduced form of those rows
     rng = np.random.default_rng(67)
     fields = [get_field(name) for name in ("prime7", "gf2_4", "gf2_16")]
     matches = zero_z = deficient = 0
@@ -267,19 +269,22 @@ def test_sink_bases_equal_batch():
             longs.append(_received(f, rng, long_x)[0])
             shorts.append(_received(f, rng, short_x)[0])
             rs.ingest(longs[-1], shorts[-1])
-            # earlier short rows re-padded with this stage's dummy zeros
-            m = params.m
-            short_all = np.vstack([
-                np.hstack([jk[:, : k * m], zeros(jk.shape[0], (stage - k) * m),
-                           jk[:, k * m:], zeros(jk.shape[0], (stage - k) * sigma)])
-                for k, jk in enumerate(shorts, start=1)])
-            ok &= np.array_equal(rs._yb, _batch_basis(f, np.vstack(longs)))
-            ok &= np.array_equal(rs._jb, _batch_basis(f, short_all))
+            # the random-secret sink keeps the batch reduced form of every
+            # row so far, identity columns first (the trailing ones rolled
+            # to the front; earlier short rows re-padded with this stage's
+            # dummy zeros)
+            for kept, pivots, stacked, ident in (
+                    (rs._yb, rs._ypiv, np.vstack(longs), b),
+                    (rs._jb, rs._jpiv, repad_short_rows(shorts, params.m, sigma),
+                     stage * sigma)):
+                batch = rref_with_transform(f, np.roll(stacked, ident, axis=1))
+                ok &= np.array_equal(kept, batch.reduced[: batch.rank])
+                ok &= pivots == batch.pivot_cols
         matches += ok
     assert matches == 100, f"only {matches}/100 growth sequences matched the batch bases"
     assert zero_z > 0 and deficient > 0
-    report(6, f"both sinks' row bases matched batch selection in 100/100 growth sequences "
-              f"({deficient} rank-deficient stages, {zero_z} with z = 0)")
+    report(6, f"both sinks' row bases matched their batch counterparts in 100/100 growth "
+              f"sequences ({deficient} rank-deficient stages, {zero_z} with z = 0)")
 
 
 def test_criterion_7_secret_size_accounting():

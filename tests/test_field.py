@@ -190,3 +190,35 @@ def test_named_fields():
     assert get_field("prime7").q == 7
     with pytest.raises(ValueError):
         get_field("dodecahedral")
+
+
+def _matmul_per_entry(f, a, b):
+    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
+    for i in range(a.shape[0]):
+        for j in range(b.shape[1]):
+            for t in range(a.shape[1]):
+                out[i, j] ^= int(f.mul(a[i, t], b[t, j]))
+    return out
+
+
+@pytest.mark.parametrize("name", ["gf2_4", "gf2_16"])
+@pytest.mark.parametrize("shape", [
+    (2, 5, 6),   # m shortest
+    (6, 5, 2),   # n shortest
+    (5, 2, 6),   # k shortest: one pass per inner index
+    (4, 4, 4),   # ties
+    (4, 0, 5),   # k = 0
+    (4, 1, 5),   # k = 1
+    (1, 3, 7),
+    (7, 3, 1),
+])
+def test_gf2_matmul_matches_per_entry_sums(name, shape):
+    # whichever axis the product loops over, it is the XOR of the entry products
+    f = get_field(name)
+    m, k, n = shape
+    rng = np.random.default_rng([41, m, k, n, f.q])
+    a, b = f.sample(rng, (m, k)), f.sample(rng, (k, n))
+    a[0, : k // 2] = 0  # zeros exercise the tables' zero tail
+    out = f.matmul(a, b)
+    assert out.dtype == np.int64
+    assert np.array_equal(out, _matmul_per_entry(f, a, b))

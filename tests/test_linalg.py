@@ -9,7 +9,9 @@ from ratelessnc.field import get_field
 from ratelessnc.linalg import (
     IncrementalReducer,
     SolveStatus,
+    _gauss_jordan,
     devectorize,
+    extend_rref,
     eye,
     independent_row_indices,
     rank,
@@ -304,6 +306,69 @@ def test_solve_exact_empty_and_short_systems(gf7):
     assert _agrees_with_full_solve(gf7, a[:2], x[:2]).status is SolveStatus.MULTIPLE
 
 
+# -- extend_rref ----------------------------------------------------------------
+
+@st.composite
+def _rref_extension(draw):
+    field = get_field(draw(st.sampled_from(["prime7", "gf2_4", "gf2_16"])))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    width = draw(st.integers(0, 9))
+    # the kept basis: the reduced form of a product of thin factors
+    k = draw(st.integers(0, width))
+    base = field.matmul(field.sample(rng, (draw(st.integers(0, 6)), k)),
+                        field.sample(rng, (k, width)))
+    pivots = _gauss_jordan(field, base, width)
+    rref = base[: len(pivots)]
+    u = draw(st.integers(0, 6))
+    kind = draw(st.sampled_from(["random", "low rank", "in the span", "zero", "mixed"]))
+    if kind == "random":
+        rows = field.sample(rng, (u, width))
+    elif kind == "low rank":  # dependent among themselves
+        j = draw(st.integers(0, u))
+        rows = field.matmul(field.sample(rng, (u, j)), field.sample(rng, (j, width)))
+    elif kind == "in the span":  # adds nothing to the basis
+        rows = field.matmul(field.sample(rng, (u, len(pivots))), rref)
+    elif kind == "zero":
+        rows = zeros(u, width)
+    else:  # span rows, zero rows and new rows interleaved
+        rows = field.matmul(field.sample(rng, (u, len(pivots))), rref)
+        picks = rng.integers(0, 3, size=u)
+        rows[picks == 1] = 0
+        rows[picks == 2] = field.sample(rng, (int((picks == 2).sum()), width))
+    return field, rref, pivots, rows
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_rref_extension())
+def test_extend_rref_equals_batch_elimination(case):
+    f, rref, pivots, rows = case
+    before = rref.copy(), list(pivots), rows.copy()
+    out, out_pivots = extend_rref(f, rref, pivots, rows)
+    batch = np.vstack([rref, rows])
+    batch_pivots = _gauss_jordan(f, batch, batch.shape[1])
+    assert out_pivots == batch_pivots
+    assert out.dtype == np.int64 and np.array_equal(out, batch[: len(batch_pivots)])
+    assert len(out_pivots) - len(pivots) <= rows.shape[0]
+    assert np.array_equal(rref, before[0]) and pivots == before[1]
+    assert np.array_equal(rows, before[2])
+
+
+def test_extend_rref_edge_cases(gf7):
+    # empty basis, no new rows, rows that add nothing, a pivot landing left
+    # of every kept one, a new pivot cleared from a kept row
+    rows = np.array([[0, 2, 4, 1], [0, 1, 2, 3], [0, 0, 0, 0]])
+    out, piv = extend_rref(gf7, zeros(0, 4), [], rows)
+    assert piv == [1, 3] and np.array_equal(out, [[0, 1, 2, 0], [0, 0, 0, 1]])
+    assert extend_rref(gf7, out, piv, zeros(0, 4))[1] == [1, 3]
+    same, same_piv = extend_rref(gf7, out, piv, gf7.matmul(np.array([[3, 5]]), out))
+    assert same_piv == [1, 3] and np.array_equal(same, out)
+    grown, grown_piv = extend_rref(gf7, out, piv, np.array([[1, 1, 1, 1]]))
+    assert grown_piv == [0, 1, 3]
+    assert np.array_equal(grown, [[1, 0, 6, 0], [0, 1, 2, 0], [0, 0, 0, 1]])
+    back, back_piv = extend_rref(gf7, np.array([[1, 2, 0]]), [0], np.array([[0, 1, 1]]))
+    assert back_piv == [0, 1] and np.array_equal(back, [[1, 0, 5], [0, 1, 1]])
+
+
 # -- vandermonde / vectorize --------------------------------------------------
 
 def test_vandermonde_gf7_point_two(gf7):
@@ -313,6 +378,28 @@ def test_vandermonde_gf7_point_two(gf7):
 def test_vandermonde_repeated_ones(gf7):
     v = vandermonde(gf7, [1, 1], 4)
     assert np.array_equal(v, np.ones((4, 2), dtype=np.int64))
+
+
+def _vandermonde_loop(field, points, num_rows):
+    points = np.asarray(points, dtype=np.int64)
+    out = np.empty((num_rows, points.size), dtype=np.int64)
+    row = points.copy()
+    out[0] = row
+    for k in range(1, num_rows):
+        row = field.mul(row, points)
+        out[k] = row
+    return out
+
+
+@pytest.mark.parametrize("name", ["prime7", "gf2_4", "gf2_16"])
+@pytest.mark.parametrize("num_rows", [1, 2, 3, 48, 64, 65])
+def test_vandermonde_doubling_matches_row_by_row(name, num_rows):
+    f = get_field(name)
+    rng = np.random.default_rng([42, num_rows, f.q])
+    points = np.concatenate([[0, 1, 0], f.sample(rng, 9)])
+    assert np.array_equal(vandermonde(f, points, num_rows),
+                          _vandermonde_loop(f, points, num_rows))
+    assert vandermonde(f, points[:0], num_rows).shape == (num_rows, 0)
 
 
 def test_vandermonde_distinct_points_full_rank(gf251):

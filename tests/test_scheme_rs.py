@@ -12,7 +12,15 @@ from ratelessnc import linalg
 from ratelessnc.channel import AdversaryStrategy, MatrixChannel, StageParams
 from ratelessnc.field import get_field
 from ratelessnc.harness import build_config, run_experiment, run_session
-from ratelessnc.linalg import SolveOutcome, SolveStatus, devectorize, rank, vectorize, zeros
+from ratelessnc.linalg import (
+    SolveOutcome,
+    SolveStatus,
+    devectorize,
+    independent_row_indices,
+    rank,
+    vectorize,
+    zeros,
+)
 from ratelessnc.records import Decode
 from ratelessnc.scheme_rs import (
     RsEncoder,
@@ -27,7 +35,7 @@ from ratelessnc.scheme_rs import (
     truth_vector,
 )
 from ratelessnc.scheme_sc import SourceMessage
-from solve_reference import full_row_decode, full_solve
+from solve_reference import extract_side, full_row_decode, full_solve, repad_short_rows
 
 
 @pytest.fixture(scope="module")
@@ -289,10 +297,12 @@ def test_rank_growth_bound(gf16):
             assert sink._yb.shape[0] == r_i  # the sink's long basis spans them all
 
 
-def test_scan_order_invariance(gf16):
+def test_scan_order_invariance(gf16, monkeypatch):
     # a different (but valid) basis column choice permutes the bookkeeping,
-    # not the decoded message
+    # not the decoded message: the key equation is rebuilt on the reference
+    # extraction scanning the leading columns in a random order
     p = std_params()
+    reordered = decoded = 0
     for seed in range(20):
         rng, msg, secret = fresh_session(gf16, p, [13, seed])
         enc = RsEncoder(gf16, p, msg, secret)
@@ -304,17 +314,74 @@ def test_scan_order_invariance(gf16):
             out_s = chan(StageParams(2, 1, 2), a_i, rng)
             sink.ingest(out_l.Y, out_s.Y)
         order_rng = np.random.default_rng([14, seed])
-        alt_long = list(order_rng.permutation(p.n))
-        alt_short = list(order_rng.permutation(2 * p.m))
+        orders = {p.n: order_rng.permutation(p.n), 2 * p.m: order_rng.permutation(2 * p.m)}
+
+        def permuted(rref, pivots, ident_cols, scan_limit):
+            rows = np.roll(rref, -ident_cols, axis=1)  # identity columns back at the end
+            return extract_side(gf16, rows, ident_cols, scan_limit, orders[scan_limit])
+
         ke_a = sink.build_key_equation()
-        ke_b = sink.build_key_equation(scan_order_long=alt_long, scan_order_short=alt_short)
+        with monkeypatch.context() as mp:
+            mp.setattr(sink, "_extract_side", permuted)
+            ke_b = sink.build_key_equation()
         if ke_a is None or ke_b is None:
+            assert ke_a is None and ke_b is None
             continue
+        reordered += (ke_a.x_col_order != ke_b.x_col_order
+                      and ke_a.l_col_order != ke_b.l_col_order)
         res_a = sink.try_decode(ke_a)
         res_b = sink.try_decode(ke_b)
         assert res_a.status == res_b.status
         if res_a.status is Decode.DECODED:
+            decoded += 1
             assert np.array_equal(res_a.w, res_b.w)
+    assert reordered > 0 and decoded > 0, (reordered, decoded)
+
+
+def test_read_off_matches_reference_extraction():
+    # at every stage, what the sink reads off its reduced bases (chosen and
+    # remaining columns and expansion coefficients, or None) is what one
+    # Gauss-Jordan pass over the greedy row basis of every row received so
+    # far gives, and the rows it returns span the same space
+    hits = collections.Counter()
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(_rs_case())
+    def check(case):
+        f, p, stages, adversary, seed = case
+        rng = np.random.default_rng(seed)
+        msg = SourceMessage.random(f, p.b, p.n, rng)
+        secret = SharedSecret(f, p, np.random.default_rng([seed, 777]))
+        enc = RsEncoder(f, p, msg, secret)
+        sink = RsSinkState(f, p, secret)
+        chan = MatrixChannel(f, AdversaryStrategy(adversary))
+        longs, shorts = [], []
+        for i, (lp, sp) in enumerate(stages, start=1):
+            x_i, a_i = enc.encode_stage(i, lp.c, sp.c, rng)
+            longs.append(chan(lp, x_i, rng).Y)
+            shorts.append(chan(sp, a_i, rng).Y)
+            sink.ingest(longs[-1], shorts[-1])
+            for side, kept, pivots, stacked, ident, limit in (
+                    ("long", sink._yb, sink._ypiv, np.vstack(longs), p.b, p.n),
+                    ("short", sink._jb, sink._jpiv, repad_short_rows(shorts, p.m, p.sigma),
+                     i * p.sigma, i * p.m)):
+                got = sink._extract_side(kept, pivots, ident, limit)
+                want = extract_side(f, stacked[independent_row_indices(f, stacked)],
+                                    ident, limit)
+                assert (got is None) == (want is None)
+                if got is None:
+                    hits[side, "none"] += 1
+                    continue
+                rows, r, chosen, rest, coef = got
+                assert (r, chosen, rest) == want[1:4]
+                assert np.array_equal(coef, want[4])
+                assert rows.shape == want[0].shape
+                assert rank(f, np.vstack([rows, want[0]])) == r
+                hits[side, "read off"] += 1
+
+    check()
+    assert set(hits) == {(side, kind) for side in ("long", "short")
+                         for kind in ("none", "read off")}, hits
 
 
 def test_decode_stage_one_clean_channels(gf16):

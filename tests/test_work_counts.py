@@ -1,0 +1,56 @@
+"""Deterministic work counts of the random-secret sink.
+
+The sink keeps its observations in reduced row echelon form, so a stage
+costs elimination in proportion to its new rows, and reading the key
+equation's column bases off those forms costs none.  Counting the pivots
+of every Gauss-Jordan pass on one seeded benchmark session pins that down
+exactly, where a timing could not: a slide back into re-eliminating what
+was kept fails here.
+"""
+
+from pathlib import Path
+
+from ratelessnc import linalg, scheme_rs
+from ratelessnc.harness import load_config, run_experiment
+
+CONFIG = Path(__file__).resolve().parents[1] / "bench" / "configs" / "rs-long-b8.yaml"
+
+
+def test_rs_sink_eliminates_only_new_rows(monkeypatch):
+    open_calls = []             # [name, new rows, pivots, passes] of the wrapped calls open now
+    finished = []
+    real_gauss_jordan = linalg._gauss_jordan
+
+    def gauss_jordan(field, work, pivot_limit):
+        pivots = real_gauss_jordan(field, work, pivot_limit)
+        for call in open_calls:
+            call[2] += len(pivots)
+            call[3] += 1
+        return pivots
+
+    def counted(name, fn, new_rows):
+        def wrapper(*args):
+            open_calls.append([name, new_rows(args), 0, 0])
+            try:
+                return fn(*args)
+            finally:
+                finished.append(open_calls.pop())
+        return wrapper
+
+    monkeypatch.setattr(linalg, "_gauss_jordan", gauss_jordan)
+    monkeypatch.setattr(linalg, "extend_rref",
+                        counted("extend_rref", linalg.extend_rref, lambda a: a[3].shape[0]))
+    monkeypatch.setattr(scheme_rs.RsSinkState, "build_key_equation",
+                        counted("build_key_equation",
+                                scheme_rs.RsSinkState.build_key_equation, lambda a: 0))
+
+    (rec,), _ = run_experiment(load_config(CONFIG, {"seed": 1}))
+    assert rec.outcome == "decoded" and rec.correct and rec.stages_used == 8
+
+    builds = [c for c in finished if c[0] == "build_key_equation"]
+    extends = [c for c in finished if c[0] == "extend_rref"]
+    # try_decode builds again on the stages whose key equation is None
+    assert len(builds) >= 8 and len(extends) == 2 * 8
+    assert all(passes == 0 for _, _, _, passes in builds), builds
+    assert all(pivots <= 2 * rows for _, rows, pivots, _ in extends), extends
+    assert sum(pivots for _, _, pivots, _ in extends) > 0
