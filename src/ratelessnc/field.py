@@ -11,6 +11,28 @@ a field object supplies the arithmetic.  Two kinds are supported:
 All operations broadcast like their numpy counterparts and are bit-exact.
 Field objects are immutable after construction, so they are safe to share
 across threads; generator state stays with the caller.
+
+Two kernels carry the linear algebra, and both keep the table format
+inside this module:
+
+* ``pivot_step(block, r)`` is one Gauss-Jordan pivot, in place: it scales
+  row r so that ``block[r, 0] == 1`` and clears column 0 in every other
+  row.  GF(2^w) does it in the log domain with Python-int scalars (the
+  rank-1 update is two log gathers, one antilog gather and one in-place
+  XOR); GF(p) with int64 arithmetic and one modular inverse by ``pow``.
+  No per-element field call is made.
+* ``matmul``.  In GF(2^w) a product of at most ``_SLAB`` entry products
+  is one gather over all of them, XOR-reduced over the inner axis.  A
+  larger one loops over its shortest axis and gathers the other two in
+  slabs of whole lines holding at most ``_SLAB`` entries (one line, when
+  a line alone is longer).
+
+Table indices: ``log`` maps nonzero elements to [0, q-1) and zero to
+``zoff = 2q``; ``exp`` has 4q + 1 entries, period q - 1 on [0, 2(q-1))
+and zero from there on.  A sum of two reduced logs stays below 2(q-1), so
+it lands in the periodic part, and a sum with one or two logs of zero
+lies in [2q, 4q], so it lands in the zero tail: every gather is a field
+product, zero factors included, and no index leaves ``exp``.
 """
 
 from __future__ import annotations
@@ -18,6 +40,12 @@ from __future__ import annotations
 import functools
 
 import numpy as np
+
+# Largest number of entry products one GF(2^w) matmul gather makes.  Up to
+# this size a product is a single gather (least per-call overhead); above
+# it, slabs of this many int64 entries (128 KiB) keep each temporary in
+# cache, where one gather over a tall product would spill it.
+_SLAB = 1 << 14
 
 # Primitive polynomials for GF(2^w) with x primitive, keyed by w.  The
 # degree-16 entry is x^16 + x^12 + x^3 + x + 1; table construction checks
@@ -85,6 +113,12 @@ class Field:
 
     def matmul(self, a, b):
         """Exact matrix product over the field."""
+        raise NotImplementedError
+
+    def pivot_step(self, block: np.ndarray, r: int) -> None:
+        """One Gauss-Jordan pivot on ``block`` in place, ``block[r, 0]``
+        nonzero: scale row r so that ``block[r, 0] == 1``, then subtract
+        from every other row its column-0 entry times row r."""
         raise NotImplementedError
 
     def sample(self, rng: np.random.Generator, shape=None):
@@ -177,25 +211,48 @@ class GF2Field(Field):
             raise ValueError(f"dimension mismatch: {a.shape} @ {b.shape}")
         m, k = a.shape
         n = b.shape[1]
-        out = np.zeros((m, n), dtype=self.dtype)
         if k == 0 or m == 0 or n == 0:
-            return out
+            return np.zeros((m, n), dtype=self.dtype)
         exp = self._exp
         la = self._log[a]
         lb = self._log[b]
+        if m * k * n <= _SLAB:
+            return np.bitwise_xor.reduce(exp[la[:, :, None] + lb], axis=1)
+        out = np.zeros((m, n), dtype=self.dtype)
         # loop over the shortest of the three axes: one rank-1 update per
-        # inner index (XOR sums commute), or one k-by-long slab per row or
-        # column of the shorter output axis
+        # inner index (XOR sums commute), or one k-by-long reduction per row
+        # or column of the shorter output axis; each gather covers a slab
+        # of whole lines of the other two axes
         if k < min(m, n):
+            h = max(1, _SLAB // n)
             for t in range(k):
-                out ^= exp[la[:, t][:, None] + lb[t][None, :]]
+                for i in range(0, m, h):
+                    out[i: i + h] ^= exp[la[i: i + h, t, None] + lb[t]]
         elif m <= n:
+            h = max(1, _SLAB // k)
             for i in range(m):
-                out[i] = np.bitwise_xor.reduce(exp[la[i][:, None] + lb], axis=0)
+                for j in range(0, n, h):
+                    out[i, j: j + h] = np.bitwise_xor.reduce(
+                        exp[la[i, :, None] + lb[:, j: j + h]], axis=0)
         else:
+            h = max(1, _SLAB // k)
             for j in range(n):
-                out[:, j] = np.bitwise_xor.reduce(exp[la + lb[:, j][None, :]], axis=1)
+                for i in range(0, m, h):
+                    out[i: i + h, j] = np.bitwise_xor.reduce(
+                        exp[la[i: i + h] + lb[:, j]], axis=1)
         return out
+
+    def pivot_step(self, block, r):
+        exp, log = self._exp, self._log
+        row = block[r]
+        lrow = log[row]
+        lp = int(lrow[0])
+        if lp:  # pivot != 1: multiply the row by exp[q-1-lp], its inverse
+            row[:] = exp[lrow + (self.q - 1 - lp)]
+            lrow = log[row]
+        lf = log[block[:, 0]]
+        lf[r] = self._zoff  # row r is left as it is
+        block ^= exp[lf[:, None] + lrow]
 
 
 class PrimeField(Field):
@@ -251,6 +308,18 @@ class PrimeField(Field):
             return np.zeros((a.shape[0], b.shape[1]), dtype=self.dtype)
         # entries < 2^16 and inner dim < 2^31, so int64 products cannot overflow
         return (a @ b) % self.q
+
+    def pivot_step(self, block, r):
+        p = self.q
+        row = block[r]
+        piv = int(row[0])
+        if piv != 1:
+            row *= pow(piv, p - 2, p)
+            row %= p
+        factors = block[:, 0].copy()
+        factors[r] = 0
+        block -= factors[:, None] * row  # entries < 2^16: no int64 overflow
+        block %= p
 
 
 _NAMED = {

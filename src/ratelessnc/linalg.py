@@ -2,8 +2,10 @@
 
 Matrices are 2-D numpy int64 arrays of field elements; every routine takes
 the field object first, mirroring how the arithmetic is dispatched (products
-are ``Field.matmul``).  Besides reduced row echelon form with a recorded
-transform, this module provides:
+are ``Field.matmul``, pivots ``Field.pivot_step``).  Every elimination is
+``_gauss_jordan``, which jumps over columns that hold no pivot instead of
+visiting them one at a time.  Besides reduced row echelon form with a
+recorded transform, this module provides:
 
 * ``extend_row_basis`` -- grow a row basis by a block of new rows, which
   is how the secret-channel sink keeps its observations;
@@ -13,11 +15,11 @@ transform, this module provides:
   their remainder is eliminated, and one more product back-substitutes
   its pivots into the kept rows, so the work grows with the new rows;
 * ``solve_exact`` -- classify and solve ``a @ x = rhs``, which both sinks
-  decode through.  It eliminates only a leading block of rows, doubled
-  until its rank is the number of unknowns, and checks the remaining rows
-  against that block's solution with one product: exact, because a
-  full-rank block admits at most that one solution and an inconsistent
-  block makes the whole system inconsistent;
+  decode through.  It eliminates only a leading block of rows, one more
+  than the unknowns and doubled until its rank is the number of unknowns,
+  and checks the remaining rows against that block's solution with one
+  product: exact, because a full-rank block admits at most that one
+  solution and an inconsistent block makes the whole system inconsistent;
 * ``solve_in_row_space`` -- recover the combination matrix S with
   ``S (Y @ D) = H`` and classify the outcome by whether the recovered
   product ``S @ Y`` is unique;
@@ -52,30 +54,32 @@ def _gauss_jordan(field: Field, work: np.ndarray, pivot_limit: int) -> list[int]
     nonzero entry top-to-bottom in the leftmost unresolved column; columns
     beyond the limit ride along (augmented part).  Returns pivot columns in
     order; afterwards pivot rows sit at the top in pivot-column order.
+
+    A column with no nonzero entry at or below the next pivot row is not
+    visited on its own: one ``any`` over the rest of the searched block
+    jumps to the next column that has one, and the loop ends when none is
+    left.  Each pivot is one in-place ``Field.pivot_step`` on the columns
+    from the pivot on (entries left of it are already settled).
     """
     rows = work.shape[0]
     pivots: list[int] = []
-    r = 0
-    for c in range(pivot_limit):
-        if r >= rows:
-            break
-        col = work[r:, c]
-        nz = np.nonzero(col)[0]
-        if nz.size == 0:
-            continue
-        p = r + int(nz[0])
-        if p != r:
-            work[[r, p]] = work[[p, r]]
-        piv = work[r, c]
-        if piv != 1:
-            work[r, c:] = field.mul(work[r, c:], field.inv(piv))
-        factors = work[:, c].copy()
-        factors[r] = 0
-        if np.any(factors):
-            # entries left of c are already settled, so restrict the update
-            work[:, c:] = field.sub(work[:, c:], field.mul(factors[:, None], work[r, c:][None, :]))
+    r = c = 0
+    while r < rows and c < pivot_limit:
+        if not work[r, c]:
+            below = work[r:, c].nonzero()[0]
+            if not below.size:
+                ahead = work[r:, c + 1: pivot_limit].any(axis=0).nonzero()[0]
+                if not ahead.size:
+                    break
+                c += 1 + int(ahead[0])
+                below = work[r:, c].nonzero()[0]
+            p = r + int(below[0])
+            if p != r:
+                work[[r, p]] = work[[p, r]]
+        field.pivot_step(work[:, c:], r)
         pivots.append(c)
         r += 1
+        c += 1
     return pivots
 
 
@@ -111,7 +115,8 @@ def rank(field: Field, a: np.ndarray) -> int:
 def independent_row_indices(field: Field, a: np.ndarray) -> list[int]:
     """Indices of a maximal linearly independent set of rows, scanning
     top-to-bottom (the pivot rows of the transposed reduction)."""
-    work = np.asarray(a).T.astype(np.int64, copy=True)
+    # a row-major copy: each pivot step works along rows of the transpose
+    work = np.array(np.asarray(a).T, dtype=np.int64, order="C")
     return _gauss_jordan(field, work, work.shape[1])
 
 
@@ -164,16 +169,16 @@ def solve_exact(field: Field, a: np.ndarray, rhs: np.ndarray) -> SolveOutcome:
     system is consistent but underdetermined.
 
     Tall systems are not eliminated whole.  The leading ``lead`` rows
-    (first min(rows, 2*cols)) are reduced, keeping only the pivot rows of
-    ``[a | rhs]``; while they are consistent but of rank below ``cols``,
-    ``lead`` doubles and the next rows are reduced against those pivot
-    rows.  This is exact: rows with no solution make the whole system
-    have none, and once the rank is ``cols`` the block's solution is the
-    only candidate, so one product checking it against every row past
-    ``lead`` decides UNIQUE or NO_SOLUTION.  With every row in and the
-    rank still short, the system is MULTIPLE.  Status and solution are
-    those of a full elimination; when the first 2*cols rows have full
-    rank, each pivot updates those rows only, not every row.
+    (first min(rows, cols + 1)) are reduced, keeping only the pivot rows
+    of ``[a | rhs]``; while they are consistent but of rank below
+    ``cols``, ``lead`` doubles and the next rows are reduced against those
+    pivot rows.  This is exact: rows with no solution make the whole
+    system have none, and once the rank is ``cols`` the block's solution
+    is the only candidate, so one product checking it against every row
+    past ``lead`` decides UNIQUE or NO_SOLUTION.  With every row in and
+    the rank still short, the system is MULTIPLE.  Status and solution
+    are those of a full elimination; when the first cols + 1 rows have
+    full rank, each pivot updates those rows only, not every row.
     """
     a = np.asarray(a)
     rhs = np.asarray(rhs)
@@ -184,7 +189,7 @@ def solve_exact(field: Field, a: np.ndarray, rhs: np.ndarray) -> SolveOutcome:
         raise ValueError(f"dimension mismatch: {a.shape} vs rhs {rhs.shape}")
     rows, cols = a.shape
     work = np.hstack([a, rhs]).astype(np.int64, copy=False)
-    basis, done, lead = work[:0], 0, min(rows, 2 * cols)
+    basis, done, lead = work[:0], 0, min(rows, cols + 1)
     while True:
         block = np.vstack([basis, work[done:lead]])
         r = len(_gauss_jordan(field, block, cols))

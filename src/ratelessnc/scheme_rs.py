@@ -368,15 +368,18 @@ class RsSinkState:
         the b(r-b) unknowns of x_a only.
 
         Only the rows ``solve_exact`` reads are built: those of the leading
-        g = min(gamma, ceil(2 b(r-b) / (i sigma))) L_b columns, which hold
-        its leading 2 b(r-b) rows, and only the parity rows they use, those
-        of the L_a slots and of the slice's kept slots.  The slice's
-        elimination is then the full system's, so NO_SOLUTION on it is
-        final; MULTIPLE with rows left over is re-solved on every row, the
-        one case that builds every parity row.  A unique candidate is
-        accepted only if it satisfies the three block equations, which
-        cover every row of B v = rhs; when rows were left unread, a
-        candidate that fails them means the full system has no solution."""
+        g = min(gamma, ceil(2 theta / (i sigma))) L_b columns, where
+        theta = b(r-b) is the number of unknowns it eliminates, and only
+        the parity rows they use, those of the L_a slots and of the slice's
+        kept slots.  The slice's 2 theta rows (every row, when fewer) hold
+        the theta + 1 rows ``solve_exact`` eliminates first and rows that
+        one product checks.  The slice's elimination is then the full
+        system's, so NO_SOLUTION on it is final; MULTIPLE with rows left
+        over is re-solved on every row, the one case that builds every
+        parity row.  A unique candidate is accepted only if it satisfies
+        the three block equations, which cover every row of B v = rhs;
+        when rows were left unread, a candidate that fails them means the
+        full system has no solution."""
         f = self.field
         p = self.params
         if ke is None:
@@ -558,7 +561,8 @@ def rs_stages(field: Field, params: RsParams, msg: SourceMessage,
         ke = sink.build_key_equation()
         if validate and ke is not None:
             _validate_key_equation(encoder, ke, cutset_met=margin >= params.b)
-        yield (long_p.M, z), sink.try_decode(ke)
+        yield (long_p.M, z), (DecodeResult(Decode.NEED_MORE) if ke is None
+                              else sink.try_decode(ke))
 
 
 def _validate_stage(encoder: RsEncoder) -> None:

@@ -1,5 +1,10 @@
 """Full-elimination references for the decoders' solves.
 
+``gauss_jordan`` is the plain pivot-by-pivot elimination that
+``linalg._gauss_jordan`` must match bit for bit: it visits every column
+and makes each pivot of elementwise ``Field`` calls.  The references
+below eliminate with it, so they share no kernel with the code they check.
+
 ``full_solve`` is Gauss-Jordan over every row of ``[a | rhs]``, with no
 early exit: the oracle that ``linalg.solve_exact`` and the random-secret
 dense key-equation check are compared against.  ``full_row_decode`` builds
@@ -16,9 +21,44 @@ decoders run.
 import numpy as np
 
 from ratelessnc import linalg
-from ratelessnc.linalg import SolveOutcome, SolveStatus, _gauss_jordan
+from ratelessnc.field import Field
+from ratelessnc.linalg import SolveOutcome, SolveStatus
 from ratelessnc.records import Decode, DecodeResult, unsolved
 from ratelessnc.scheme_rs import _blocks_hold
+
+
+def gauss_jordan(field: Field, work: np.ndarray, pivot_limit: int) -> list[int]:
+    """In-place Gauss-Jordan elimination of ``work``.
+
+    Pivots are searched in columns [0, pivot_limit) only, taking the first
+    nonzero entry top-to-bottom in the leftmost unresolved column; columns
+    beyond the limit ride along (augmented part).  Returns pivot columns in
+    order; afterwards pivot rows sit at the top in pivot-column order.
+    """
+    rows = work.shape[0]
+    pivots: list[int] = []
+    r = 0
+    for c in range(pivot_limit):
+        if r >= rows:
+            break
+        col = work[r:, c]
+        nz = np.nonzero(col)[0]
+        if nz.size == 0:
+            continue
+        p = r + int(nz[0])
+        if p != r:
+            work[[r, p]] = work[[p, r]]
+        piv = work[r, c]
+        if piv != 1:
+            work[r, c:] = field.mul(work[r, c:], field.inv(piv))
+        factors = work[:, c].copy()
+        factors[r] = 0
+        if np.any(factors):
+            # entries left of c are already settled, so restrict the update
+            work[:, c:] = field.sub(work[:, c:], field.mul(factors[:, None], work[r, c:][None, :]))
+        pivots.append(c)
+        r += 1
+    return pivots
 
 
 def full_solve(field, a, rhs) -> SolveOutcome:
@@ -31,7 +71,7 @@ def full_solve(field, a, rhs) -> SolveOutcome:
         raise ValueError(f"dimension mismatch: {a.shape} vs rhs {rhs.shape}")
     cols = a.shape[1]
     work = np.hstack([a.astype(np.int64, copy=True), rhs.astype(np.int64, copy=True)])
-    pivots = _gauss_jordan(field, work, cols)
+    pivots = gauss_jordan(field, work, cols)
     r = len(pivots)
     if np.any(work[r:, cols:]):
         return SolveOutcome(SolveStatus.NO_SOLUTION)
@@ -111,7 +151,7 @@ def extract_side(field, sel_rows: np.ndarray, ident_cols: int, scan_limit: int,
     order = np.arange(scan_limit) if scan_order is None else np.asarray(scan_order)
     work = sel_rows[:, np.concatenate([np.arange(scan_limit, scan_limit + ident_cols),
                                        order])]
-    pivots = linalg._gauss_jordan(field, work, work.shape[1])
+    pivots = gauss_jordan(field, work, work.shape[1])
     if pivots[:ident_cols] != list(range(ident_cols)):
         return None  # trailing identity image degenerate this stage
     chosen = [int(order[c - ident_cols]) for c in pivots[ident_cols:]]

@@ -211,6 +211,14 @@ def _matmul_per_entry(f, a, b):
     (4, 1, 5),   # k = 1
     (1, 3, 7),
     (7, 3, 1),
+    (32, 16, 32),   # m*k*n = 2^14: the largest single-gather product
+    (5, 29, 113),   # m*k*n = 2^14 + 1, each axis shortest in turn
+    (113, 29, 5),
+    (29, 5, 113),
+    # slabs of 256 lines whose last slab is one line
+    (257, 2, 64),   # k shortest, rows cut
+    (2, 64, 257),   # m shortest, columns cut
+    (513, 64, 1),   # a tall mat-vec, rows cut
 ])
 def test_gf2_matmul_matches_per_entry_sums(name, shape):
     # whichever axis the product loops over, it is the XOR of the entry products

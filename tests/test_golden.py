@@ -34,6 +34,25 @@ def test_trials_csv_digest(tmp_path, name, trials, digest):
     assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == digest
 
 
+# the benchmark's three workloads, read as they are, at 60 trials and seed 7:
+# a speed-up that the benchmark times must leave these records unchanged
+BENCH_CONFIGS = CONFIGS.parent / "bench" / "configs"
+
+BENCH_GOLDEN = [
+    ("rs-cutset-b3.yaml", "44526adf0b5aab3a23fa21853be321477bcd494e2589300d986ad7d91ab36baf"),
+    ("rs-long-b8.yaml", "945195e64676cff48b5f7df4ad53d13275283721c12e5d804af20b94e274f8ce"),
+    ("sc-rate-b16.yaml", "94896154aec67d9f9d410f59badbb27ae555528acccf60455889da35227471f6"),
+]
+
+
+@pytest.mark.parametrize("name,digest", BENCH_GOLDEN)
+def test_bench_config_digest(tmp_path, name, digest):
+    cfg = load_config(BENCH_CONFIGS / name, overrides={"trials": 60, "seed": 7})
+    records, summary = run_experiment(cfg)
+    csv_path, _ = emit_outputs(records, summary, tmp_path)
+    assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == digest
+
+
 # a long random-secret session: b + sum(z) <= sum(M) first holds at stage 8,
 # so every trial re-pads and extends the short basis through eight stages
 RS_LONG = {

@@ -22,7 +22,7 @@ from ratelessnc.linalg import (
     vectorize,
     zeros,
 )
-from solve_reference import full_solve
+from solve_reference import full_solve, gauss_jordan
 
 
 @pytest.fixture(scope="module")
@@ -275,7 +275,7 @@ def test_solve_exact_inconsistent_row_below_leading_block(gf16):
     rng = np.random.default_rng(31)
     a = gf16.sample(rng, (20, 3))
     rhs = gf16.matmul(a, gf16.sample(rng, (3, 2)))
-    rhs[15, 1] = gf16.add(rhs[15, 1], 1)  # the leading 2*cols = 6 rows are consistent
+    rhs[15, 1] = gf16.add(rhs[15, 1], 1)  # the leading cols + 1 = 4 rows are consistent
     assert _agrees_with_full_solve(gf16, a, rhs).status is SolveStatus.NO_SOLUTION
 
 
@@ -299,11 +299,53 @@ def test_solve_exact_empty_and_short_systems(gf7):
     for (rows, cols, rhs_value), status in cases.items():
         rhs = np.full((rows, 2), rhs_value, dtype=np.int64)
         assert _agrees_with_full_solve(gf7, zeros(rows, cols), rhs).status is status
-    # rows < 2*cols: the leading block is every row
+    # rows <= cols + 1: the leading block is every row
     a = np.array([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]])
     x = gf7.sample(rng, 3)
     assert _agrees_with_full_solve(gf7, a, gf7.matmul(a, x[:, None])[:, 0]).status is SolveStatus.UNIQUE
     assert _agrees_with_full_solve(gf7, a[:2], x[:2]).status is SolveStatus.MULTIPLE
+
+
+# -- the elimination kernel ---------------------------------------------------
+
+@st.composite
+def _elimination(draw):
+    field = get_field(draw(st.sampled_from(["prime7", "gf2_4", "gf2_16"])))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = draw(st.integers(0, 7))
+    width = draw(st.integers(0, 12))
+    k = draw(st.integers(0, min(rows, width)))  # rank at most k: zero rows are left over
+    work = field.matmul(field.sample(rng, (rows, k)), field.sample(rng, (k, width)))
+    # runs of all-zero columns before, between and after the pivots
+    work[:, np.array(draw(st.lists(st.booleans(), min_size=width, max_size=width)),
+                     dtype=bool)] = 0
+    # scattered zeros put pivots below the next pivot row: row swaps
+    work[rng.random(work.shape) < draw(st.sampled_from([0.0, 0.3, 0.7]))] = 0
+    if draw(st.booleans()):
+        work = np.asfortranarray(work)  # pivot steps on strided rows
+    return field, work, draw(st.integers(0, width))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_elimination())
+def test_gauss_jordan_matches_reference_elimination(case):
+    field, work, pivot_limit = case
+    ref = work.copy()
+    ref_pivots = gauss_jordan(field, ref, pivot_limit)
+    assert _gauss_jordan(field, work, pivot_limit) == ref_pivots
+    assert work.dtype == np.int64 and np.array_equal(work, ref)
+
+
+def test_gauss_jordan_edge_cases(gf7):
+    # zero matrices, no rows, a zero pivot limit, a jump over empty columns
+    # to a pivot that needs a row swap and a scaling, augmented columns
+    assert _gauss_jordan(gf7, zeros(3, 4), 4) == []
+    assert _gauss_jordan(gf7, zeros(0, 4), 4) == []
+    work = np.array([[1, 2], [3, 4]])
+    assert _gauss_jordan(gf7, work, 0) == [] and np.array_equal(work, [[1, 2], [3, 4]])
+    work = np.array([[0, 0, 0, 0, 5], [0, 0, 3, 1, 2], [0, 0, 6, 2, 4]])
+    assert _gauss_jordan(gf7, work, 4) == [2]
+    assert np.array_equal(work, [[0, 0, 1, 5, 3], [0, 0, 0, 0, 5], [0, 0, 0, 0, 0]])
 
 
 # -- extend_rref ----------------------------------------------------------------

@@ -5,12 +5,14 @@ costs elimination in proportion to its new rows, and reading the key
 equation's column bases off those forms costs none.  Counting the pivots
 of every Gauss-Jordan pass on one seeded benchmark session pins that down
 exactly, where a timing could not: a slide back into re-eliminating what
-was kept fails here.
+was kept fails here.  So does a slide back into pivots made of elementwise
+field calls, which the elimination kernel does without.
 """
 
 from pathlib import Path
 
 from ratelessnc import linalg, scheme_rs
+from ratelessnc.field import get_field
 from ratelessnc.harness import load_config, run_experiment
 
 CONFIG = Path(__file__).resolve().parents[1] / "bench" / "configs" / "rs-long-b8.yaml"
@@ -49,8 +51,42 @@ def test_rs_sink_eliminates_only_new_rows(monkeypatch):
 
     builds = [c for c in finished if c[0] == "build_key_equation"]
     extends = [c for c in finished if c[0] == "extend_rref"]
-    # try_decode builds again on the stages whose key equation is None
-    assert len(builds) >= 8 and len(extends) == 2 * 8
+    assert len(builds) == 8 and len(extends) == 2 * 8
     assert all(passes == 0 for _, _, _, passes in builds), builds
     assert all(pivots <= 2 * rows for _, rows, pivots, _ in extends), extends
     assert sum(pivots for _, _, pivots, _ in extends) > 0
+
+
+def test_elimination_makes_no_elementwise_field_calls(monkeypatch):
+    field = get_field("gf2_16")
+    open_passes = [0]           # Gauss-Jordan passes open now
+    passes = []
+    calls = {"inside": [], "outside": 0}
+    real_gauss_jordan = linalg._gauss_jordan
+
+    def gauss_jordan(f, work, pivot_limit):
+        open_passes[0] += 1
+        try:
+            pivots = real_gauss_jordan(f, work, pivot_limit)
+        finally:
+            open_passes[0] -= 1
+        passes.append(len(pivots))
+        return pivots
+
+    def watched(name, fn):
+        def wrapper(*args):
+            if open_passes[0]:
+                calls["inside"].append(name)
+            else:
+                calls["outside"] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in ("mul", "inv", "add", "sub"):
+        monkeypatch.setitem(vars(field), name, watched(name, getattr(field, name)))
+    monkeypatch.setattr(linalg, "_gauss_jordan", gauss_jordan)
+
+    (rec,), _ = run_experiment(load_config(CONFIG, {"seed": 1}))
+    assert rec.outcome == "decoded" and rec.correct and rec.stages_used == 8
+    assert calls["inside"] == []
+    assert calls["outside"] > 0 and sum(passes) > 0  # the watch saw the session
