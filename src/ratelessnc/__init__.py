@@ -39,9 +39,7 @@ from .linalg import (
     SolveOutcome,
     SolveStatus,
     devectorize,
-    extend_row_basis,
     extend_rref,
-    independent_row_indices,
     rank,
     rref_with_transform,
     solve_exact,

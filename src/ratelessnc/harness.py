@@ -1,9 +1,9 @@
 """Experiment driver: config handling, the session loop shared by both
 schemes, Monte Carlo runs, CSV/JSON output.
 
-Configs are YAML (key-value with nested sections); unknown top-level keys
-and every broken stage-parameter rule are rejected at load time with an
-error naming the key or the rule.
+Configs are YAML (key-value with nested sections); unknown top-level keys,
+missing or malformed values and every broken stage-parameter rule are
+rejected at load time with a ``ConfigError`` naming the key or the rule.
 Trials are deterministic: trial t draws from generators seeded with
 (seed, t), so identical configs produce byte-identical trials.csv, and
 each trial owns its session state outright, so trials could be fanned out
@@ -33,6 +33,14 @@ _SECRET_STREAM = 0x5EC
 
 class ConfigError(ValueError):
     """Invalid experiment configuration; the message names the broken rule."""
+
+
+def _number(node, key: str, kind=int):
+    """``kind(node)``, or a ConfigError naming ``key``."""
+    try:
+        return kind(node)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{key}: expected {kind.__name__}, got {node!r}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -91,13 +99,14 @@ class IidStageModel:
 def _parse_dist(node, name: str) -> tuple[list[int], list[float]]:
     if isinstance(node, int):
         return [node], [1.0]
-    if not isinstance(node, dict) or "values" not in node:
+    if not (isinstance(node, dict) and isinstance(node.get("values"), list) and node["values"]
+            and isinstance(node.get("probs", []), (list, type(None)))):
         raise ConfigError(f"{name}: expected an integer or {{values: [...], probs: [...]}}")
-    values = [int(v) for v in node["values"]]
+    values = [_number(v, f"{name}.values") for v in node["values"]]
     probs = node.get("probs")
     if probs is None:
         probs = [1.0 / len(values)] * len(values)
-    probs = [float(p) for p in probs]
+    probs = [_number(p, f"{name}.probs", float) for p in probs]
     if len(probs) != len(values):
         raise ConfigError(f"{name}: probs length != values length")
     if abs(sum(probs) - 1.0) > 1e-9 or min(probs) < 0:
@@ -115,14 +124,16 @@ def _parse_stage_model(node, label: str):
             raise ConfigError(f"{label}: fixed stage model needs a non-empty 'schedule'")
         schedule = []
         for entry in raw:
-            m = int(entry["M"])
-            z = int(entry.get("z", 0))
-            c = int(entry.get("c", m))
+            if not isinstance(entry, dict) or "M" not in entry:
+                raise ConfigError(f"{label}.schedule: every entry needs an 'M' key")
+            m = _number(entry["M"], f"{label}.schedule.M")
+            z = _number(entry.get("z", 0), f"{label}.schedule.z")
+            c = _number(entry.get("c", m), f"{label}.schedule.c")
             try:
                 schedule.append(StageParams(M=m, z=z, c=c))
             except ValueError as exc:
                 raise ConfigError(f"{label}: {exc}") from exc
-        cbar = int(node.get("cbar", max(p.c for p in schedule)))
+        cbar = _number(node.get("cbar", max(p.c for p in schedule)), f"{label}.cbar")
         if any(p.c > cbar for p in schedule):
             raise ConfigError(f"{label}: some c_i exceeds cbar={cbar} (violates c_i <= cbar)")
         return FixedStageModel(schedule=schedule, cbar=cbar)
@@ -143,7 +154,7 @@ def _parse_stage_model(node, label: str):
             if min(c_vals) < max(m_vals):
                 raise ConfigError(f"{label}: c support allows M > c (violates M_i <= c_i)")
             c_max = max(c_vals)
-        cbar = int(node.get("cbar", c_max))
+        cbar = _number(node.get("cbar", c_max), f"{label}.cbar")
         if c_max > cbar:
             raise ConfigError(f"{label}: c support exceeds cbar (violates c_i <= cbar)")
         return IidStageModel(m_values=m_vals, m_probs=m_probs, z_values=z_vals,
@@ -211,8 +222,8 @@ def build_config(raw: dict, base_dir: Path | None = None) -> ExperimentConfig:
         raise ConfigError(str(exc)) from exc
 
     try:
-        b = int(raw["b"])
-        n = int(raw["n"])
+        b = _number(raw["b"], "b")
+        n = _number(raw["n"], "n")
     except KeyError as exc:
         raise ConfigError(f"missing required key {exc}") from exc
     if b < 1 or n < 1:
@@ -220,11 +231,11 @@ def build_config(raw: dict, base_dir: Path | None = None) -> ExperimentConfig:
     if n + b >= field.q:
         raise ConfigError(f"n + b = {n + b} must be below the field order {field.q}")
 
-    trials = int(raw.get("trials", 100))
+    trials = _number(raw.get("trials", 100), "trials")
     if trials < 0:
         raise ConfigError("trials must be >= 0")
-    seed = int(raw.get("seed", 0))
-    stage_cap = int(raw.get("stage_cap", 64))
+    seed = _number(raw.get("seed", 0), "seed")
+    stage_cap = _number(raw.get("stage_cap", 64), "stage_cap")
     if stage_cap < 1:
         raise ConfigError("stage_cap must be >= 1")
 
@@ -277,7 +288,7 @@ def build_config(raw: dict, base_dir: Path | None = None) -> ExperimentConfig:
         if "short_stages" not in raw:
             raise ConfigError("random-secret scheme requires a 'short_stages' stage model")
         short_model = _parse_stage_model(raw["short_stages"], "short_stages")
-        sigma = int(raw.get("sigma", 1))
+        sigma = _number(raw.get("sigma", 1), "sigma")
         if isinstance(short_model, FixedStageModel):
             margin = min(p.M - p.z for p in short_model.schedule)
         else:
@@ -291,7 +302,7 @@ def build_config(raw: dict, base_dir: Path | None = None) -> ExperimentConfig:
         if m_node == "auto":
             m = RsParams.auto_m(b, sigma, stage_model.cbar)
         else:
-            m = int(m_node)
+            m = _number(m_node, "m")
         try:
             rs_params = RsParams(b=b, n=n, sigma=sigma, m=m, cbar=stage_model.cbar)
             rs_params.check_field(field)

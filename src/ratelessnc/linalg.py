@@ -7,13 +7,11 @@ are ``Field.matmul``, pivots ``Field.pivot_step``).  Every elimination is
 visiting them one at a time.  Besides reduced row echelon form with a
 recorded transform, this module provides:
 
-* ``extend_row_basis`` -- grow a row basis by a block of new rows, which
-  is how the secret-channel sink keeps its observations;
 * ``extend_rref`` -- grow a reduced row echelon form by a block of new
-  rows, which is how the random-secret sink keeps its observations: the
-  new rows are reduced against the kept pivots with one product, only
-  their remainder is eliminated, and one more product back-substitutes
-  its pivots into the kept rows, so the work grows with the new rows;
+  rows, which is how both sinks keep their observations: the new rows
+  are reduced against the kept pivots with one product, only their
+  remainder is eliminated, and one more product back-substitutes its
+  pivots into the kept rows, so the work grows with the new rows;
 * ``solve_exact`` -- classify and solve ``a @ x = rhs``, which both sinks
   decode through.  It eliminates only a leading block of rows, one more
   than the unknowns and doubled until its rank is the number of unknowns,
@@ -110,23 +108,6 @@ def rref_with_transform(field: Field, a: np.ndarray) -> RrefResult:
 def rank(field: Field, a: np.ndarray) -> int:
     work = np.asarray(a).astype(np.int64, copy=True)
     return len(_gauss_jordan(field, work, work.shape[1]))
-
-
-def independent_row_indices(field: Field, a: np.ndarray) -> list[int]:
-    """Indices of a maximal linearly independent set of rows, scanning
-    top-to-bottom (the pivot rows of the transposed reduction)."""
-    # a row-major copy: each pivot step works along rows of the transpose
-    work = np.array(np.asarray(a).T, dtype=np.int64, order="C")
-    return _gauss_jordan(field, work, work.shape[1])
-
-
-def extend_row_basis(field: Field, basis: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """The rows of ``[basis; rows]`` independent of the rows above them.
-
-    When ``basis`` is itself independent it is kept whole, and the result
-    is the greedy top-to-bottom basis of every row fed in so far."""
-    stacked = np.vstack([basis, rows])
-    return stacked[independent_row_indices(field, stacked)]
 
 
 def extend_rref(field: Field, rref: np.ndarray, pivots: list[int],

@@ -4,9 +4,10 @@ Per stage the source sends fresh random combinations of the message block
 (with an appended identity) over the network, and hands the sink a small
 hash over a reliable side conduit: a batch of fresh random evaluation
 points plus the message evaluated at them (a Vandermonde product).  The
-sink keeps a row basis of everything received so far and tries to express
-the message as a combination of those rows that is consistent with every
-hash; it decodes once that combination pins down a single candidate.
+sink keeps the reduced row echelon form of everything received so far and
+tries to express the message as a combination of those rows that is
+consistent with every hash; it decodes once that combination pins down a
+single candidate.
 """
 
 from __future__ import annotations
@@ -85,9 +86,11 @@ class SinkStateSC:
     size of its unknowns.
 
     The decode system is S (Y D) = H for the combination matrix S.  Only
-    S Y matters, so the sink keeps Y_b, the independent rows of Y found top
-    to bottom, and G = Y_b D, grown by its bordered blocks each stage; it
-    then solves S' G = H, in dimension rank(Y), with ``linalg.solve_exact``.
+    S Y matters, and it depends on the row space of Y alone, so the sink
+    keeps the reduced row echelon form R of every row received so far,
+    grown with ``linalg.extend_rref`` as the random-secret sink grows its
+    bases.  Once R has b rows it forms G = R D and solves S' G = H, in
+    dimension rank(Y), with ``linalg.solve_exact``; the message is S' R.
     """
 
     def __init__(self, field: Field, b: int, n: int):
@@ -96,8 +99,7 @@ class SinkStateSC:
         self.n = n
         self.d = linalg.zeros(n + b, 0)
         self.h = linalg.zeros(b, 0)
-        self._yb = linalg.zeros(0, n + b)
-        self._g = linalg.zeros(0, 0)
+        self._rref, self._piv = linalg.zeros(0, n + b), []
 
     def ingest(self, y_i: np.ndarray, secret: SecretStagePayload) -> None:
         f = self.field
@@ -109,21 +111,18 @@ class SinkStateSC:
         f.check_range(y_i, "observation symbols")
         f.check_range(secret.points, "evaluation points")
         f.check_range(secret.hashes, "hash symbols")
-        d_i = linalg.vandermonde(f, secret.points, width)
-        yb = linalg.extend_row_basis(f, self._yb, y_i)
-        top = np.hstack([self._g, f.matmul(self._yb, d_i)])
-        self.d = np.hstack([self.d, d_i])
-        self._g = np.vstack([top, f.matmul(yb[self._yb.shape[0]:], self.d)])
-        self._yb = yb
+        self._rref, self._piv = linalg.extend_rref(f, self._rref, self._piv, y_i)
+        self.d = np.hstack([self.d, linalg.vandermonde(f, secret.points, width)])
         self.h = np.hstack([self.h, secret.hashes])
 
     def try_decode(self) -> DecodeResult:
-        if self._yb.shape[0] < self.b:
+        if len(self._piv) < self.b:
             return DecodeResult(Decode.NEED_MORE)
-        out = linalg.solve_exact(self.field, self._g.T, self.h.T)
+        f = self.field
+        out = linalg.solve_exact(f, f.matmul(self._rref, self.d).T, self.h.T)
         if out.status is not SolveStatus.UNIQUE:
             return unsolved(out.status)
-        return _accept(self.field.matmul(out.solution.T, self._yb), self.n)
+        return _accept(f.matmul(out.solution.T, self._rref), self.n)
 
 
 def _accept(x0_hat: np.ndarray, n: int) -> DecodeResult:

@@ -13,9 +13,11 @@ the oracle for ``RsSinkState.try_decode``, which builds only the rows its
 solver reads.  ``extract_side`` finds a column basis and the expansions
 over it by one Gauss-Jordan pass over a row basis, in any scan order: the
 oracle for ``RsSinkState._extract_side``, which reads them off the reduced
-bases it keeps.  ``repad_short_rows`` stacks received short rows at the
-current stage's staircase width.  All are kept apart from the code the
-decoders run.
+bases it keeps.  ``independent_row_indices`` picks the rows of a stack
+independent of the rows above them: the greedy reference for bases the
+sinks keep in reduced form.  ``repad_short_rows`` stacks received short
+rows at the current stage's staircase width.  All are kept apart from the
+code the decoders run.
 """
 
 import numpy as np
@@ -59,6 +61,12 @@ def gauss_jordan(field: Field, work: np.ndarray, pivot_limit: int) -> list[int]:
         pivots.append(c)
         r += 1
     return pivots
+
+
+def independent_row_indices(field: Field, a: np.ndarray) -> list[int]:
+    """Indices of a maximal linearly independent set of rows, scanning
+    top-to-bottom (the pivot rows of the transposed reduction)."""
+    return gauss_jordan(field, np.array(np.asarray(a).T, dtype=np.int64), len(a))
 
 
 def full_solve(field, a, rhs) -> SolveOutcome:

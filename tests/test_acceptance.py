@@ -12,7 +12,6 @@ from ratelessnc.field import get_field
 from ratelessnc.harness import build_config, emit_outputs, run_experiment
 from ratelessnc.linalg import (
     IncrementalReducer,
-    independent_row_indices,
     rref_with_transform,
     vandermonde,
     zeros,
@@ -231,15 +230,10 @@ def _received(f, rng, x):
     return f.add(f.matmul(t, x), errors), z
 
 
-def _batch_basis(f, stacked):
-    return stacked[independent_row_indices(f, stacked)]
-
-
 def test_sink_bases_equal_batch():
-    # the live counterpart of criterion 6: both sinks grow their row bases
-    # stage by stage, and after every ingest the secret-channel basis equals
-    # the batch top-to-bottom selection over every row received so far and
-    # each random-secret basis the batch reduced form of those rows
+    # the live counterpart of criterion 6: both sinks grow their bases
+    # stage by stage, and after every ingest each basis is the batch
+    # reduced form of every row received so far
     rng = np.random.default_rng(67)
     fields = [get_field(name) for name in ("prime7", "gf2_4", "gf2_16")]
     matches = zero_z = deficient = 0
@@ -252,28 +246,30 @@ def test_sink_bases_equal_batch():
         enc = RsEncoder(f, params, msg, secret)
         sc = SinkStateSC(f, b, n)
         rs = RsSinkState(f, params, secret)
-        ys, longs, shorts = [], [], []
+        ys, points, longs, shorts = [], [], [], []
         ok = True
         for stage in range(1, int(rng.integers(2, 6))):
             x_i, payload = sc_encode_stage(f, msg, stage, int(rng.integers(1, b + 2)), rng)
             y_i, z = _received(f, rng, x_i)
             zero_z += z == 0
-            rank_before = sc._yb.shape[0]
+            rank_before = len(sc._piv)
             sc.ingest(y_i, payload)
-            deficient += sc._yb.shape[0] - rank_before < y_i.shape[0]
+            deficient += len(sc._piv) - rank_before < y_i.shape[0]
             ys.append(y_i)
-            ok &= np.array_equal(sc._yb, _batch_basis(f, np.vstack(ys)))
-            ok &= np.array_equal(sc._g, f.matmul(sc._yb, sc.d))
+            # the hash check's points and hashes are kept whole, in order
+            points.append(payload.points)
+            ok &= np.array_equal(sc.d, vandermonde(f, np.concatenate(points), n + b))
+            ok &= np.array_equal(sc.h, f.matmul(msg.x0, sc.d))
 
             long_x, short_x = enc.encode_stage(stage, 2, 2, rng)
             longs.append(_received(f, rng, long_x)[0])
             shorts.append(_received(f, rng, short_x)[0])
             rs.ingest(longs[-1], shorts[-1])
-            # the random-secret sink keeps the batch reduced form of every
-            # row so far, identity columns first (the trailing ones rolled
-            # to the front; earlier short rows re-padded with this stage's
-            # dummy zeros)
+            # the random-secret sink's forms put the identity columns first
+            # (the trailing ones rolled to the front; earlier short rows
+            # re-padded with this stage's dummy zeros)
             for kept, pivots, stacked, ident in (
+                    (sc._rref, sc._piv, np.vstack(ys), 0),
                     (rs._yb, rs._ypiv, np.vstack(longs), b),
                     (rs._jb, rs._jpiv, repad_short_rows(shorts, params.m, sigma),
                      stage * sigma)):

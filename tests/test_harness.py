@@ -329,6 +329,17 @@ def test_cli_validate_rejects(tmp_path, capsys):
     path = write_config(tmp_path, bad)
     assert cli.main(["validate", "--config", str(path)]) == 2
     assert "z_i < M_i" in capsys.readouterr().err
+    # malformed values are rejected by the key they sit under, not by a
+    # traceback from inside the parser
+    for bad, key in (
+            ({"stages": {"kind": "fixed", "schedule": [{"z": 1}]}}, "'M'"),
+            ({"stages": {"kind": "iid", "M": {"values": 3}}}, "stages.M"),
+            ({"b": "two"}, "b:")):
+        with pytest.raises(ConfigError, match=key):
+            build_config({**SC_BASE, **bad})
+        path = write_config(tmp_path, {**SC_BASE, **bad})
+        assert cli.main(["validate", "--config", str(path)]) == 2
+        assert key in capsys.readouterr().err
 
 
 def test_cli_run_writes_outputs(tmp_path):

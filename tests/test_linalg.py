@@ -13,7 +13,6 @@ from ratelessnc.linalg import (
     devectorize,
     extend_rref,
     eye,
-    independent_row_indices,
     rank,
     rref_with_transform,
     solve_exact,
@@ -22,7 +21,7 @@ from ratelessnc.linalg import (
     vectorize,
     zeros,
 )
-from solve_reference import full_solve, gauss_jordan
+from solve_reference import full_solve, gauss_jordan, independent_row_indices
 
 
 @pytest.fixture(scope="module")

@@ -16,7 +16,6 @@ from ratelessnc.linalg import (
     SolveOutcome,
     SolveStatus,
     devectorize,
-    independent_row_indices,
     rank,
     vectorize,
     zeros,
@@ -35,7 +34,13 @@ from ratelessnc.scheme_rs import (
     truth_vector,
 )
 from ratelessnc.scheme_sc import SourceMessage
-from solve_reference import extract_side, full_row_decode, full_solve, repad_short_rows
+from solve_reference import (
+    extract_side,
+    full_row_decode,
+    full_solve,
+    independent_row_indices,
+    repad_short_rows,
+)
 
 
 @pytest.fixture(scope="module")

@@ -11,8 +11,8 @@ from ratelessnc.field import get_field
 from ratelessnc.harness import run_session
 from ratelessnc.linalg import (
     SolveStatus,
-    independent_row_indices,
     rank,
+    rref_with_transform,
     solve_in_row_space,
     zeros,
 )
@@ -125,11 +125,14 @@ def test_ingest_stacking_sizes(gf16):
         # the true message satisfies the accumulated hash identity
         assert np.array_equal(f.matmul(msg.x0, sink.d), sink.h)
     assert sink.d.shape[1] == (b * 3 + 1) + b * 2
-    # the sink keeps only the b independent rows of the 3 + 2 received
+    # the sink keeps only the b pivot rows of the reduced form of the
+    # 3 + 2 received
     y = np.vstack(received)
     assert y.shape[0] == 3 + 2
-    assert np.array_equal(sink._yb, y[independent_row_indices(f, y)])
-    assert sink._yb.shape[0] == b
+    batch = rref_with_transform(f, y)
+    assert len(sink._piv) == batch.rank == b
+    assert np.array_equal(sink._rref, batch.reduced[:b])
+    assert sink._piv == batch.pivot_cols
 
 
 def test_ingest_rejects_bad_width(gf16):
@@ -309,10 +312,12 @@ def test_ingest_rejects_out_of_range_symbols(gf16, bad):
         with pytest.raises(ValueError, match=label):
             sink.ingest(x_i, bad_payload)
     # nothing of a rejected stage is kept
-    assert sink.d.shape[1] == sink.h.shape[1] == sink._yb.shape[0] == 0
+    assert sink.d.shape[1] == sink.h.shape[1] == sink._rref.shape[0] == len(sink._piv) == 0
     sink.ingest(x_i, payload)
     assert sink.d.shape[1] == payload.points.size
-    assert np.array_equal(sink._yb, x_i[independent_row_indices(f, x_i)])
+    batch = rref_with_transform(f, x_i)
+    assert np.array_equal(sink._rref, batch.reduced[: batch.rank])
+    assert sink._piv == batch.pivot_cols
 
 
 def test_stage_cap_exhaustion(gf16):

@@ -1,21 +1,24 @@
-"""Deterministic work counts of the random-secret sink.
+"""Deterministic work counts of both sinks.
 
-The sink keeps its observations in reduced row echelon form, so a stage
-costs elimination in proportion to its new rows, and reading the key
-equation's column bases off those forms costs none.  Counting the pivots
-of every Gauss-Jordan pass on one seeded benchmark session pins that down
-exactly, where a timing could not: a slide back into re-eliminating what
-was kept fails here.  So does a slide back into pivots made of elementwise
-field calls, which the elimination kernel does without.
+Each sink keeps its observations in reduced row echelon form, so a stage
+costs elimination in proportion to its new rows.  The random-secret sink
+reads the key equation's column bases off those forms at no elimination
+cost; the secret-channel sink forms its hash-check product only when it
+has enough rank to decode.  Counting the pivots of every Gauss-Jordan
+pass, and the products, on one seeded benchmark session per scheme pins
+that down exactly, where a timing could not: a slide back into
+re-eliminating what was kept fails here.  So does a slide back into pivots
+made of elementwise field calls, which the elimination kernel does without.
 """
 
 from pathlib import Path
 
-from ratelessnc import linalg, scheme_rs
+from ratelessnc import linalg, scheme_rs, scheme_sc
 from ratelessnc.field import get_field
 from ratelessnc.harness import load_config, run_experiment
 
-CONFIG = Path(__file__).resolve().parents[1] / "bench" / "configs" / "rs-long-b8.yaml"
+CONFIGS = Path(__file__).resolve().parents[1] / "bench" / "configs"
+CONFIG = CONFIGS / "rs-long-b8.yaml"
 
 
 def test_rs_sink_eliminates_only_new_rows(monkeypatch):
@@ -55,6 +58,61 @@ def test_rs_sink_eliminates_only_new_rows(monkeypatch):
     assert all(passes == 0 for _, _, _, passes in builds), builds
     assert all(pivots <= 2 * rows for _, rows, pivots, _ in extends), extends
     assert sum(pivots for _, _, pivots, _ in extends) > 0
+
+
+def test_sc_sink_eliminates_only_new_rows(monkeypatch):
+    cfg = load_config(CONFIGS / "sc-rate-b16.yaml", {"seed": 1})
+    field = get_field(cfg.field_name)
+    ingests, decodes = [], []   # [new rows, pivots, rows of each pass]; [pivots, R D products]
+    current = []                # the sink call open now, if any
+    real_gauss_jordan = linalg._gauss_jordan
+    real_matmul = field.matmul
+    real_ingest = scheme_sc.SinkStateSC.ingest
+    real_try_decode = scheme_sc.SinkStateSC.try_decode
+
+    def gauss_jordan(f, work, pivot_limit):
+        pivots = real_gauss_jordan(f, work, pivot_limit)
+        if current and current[0] is ingests:
+            ingests[-1][1] += len(pivots)
+            ingests[-1][2].append(work.shape[0])
+        return pivots
+
+    def matmul(a, b):
+        sink = current[1] if current else None
+        if sink is not None and current[0] is decodes and a is sink._rref and b is sink.d:
+            decodes[-1][1] += 1
+        return real_matmul(a, b)
+
+    def ingest(sink, y_i, secret):
+        ingests.append([y_i.shape[0], 0, []])
+        current[:] = [ingests, sink]
+        try:
+            return real_ingest(sink, y_i, secret)
+        finally:
+            current.clear()
+
+    def try_decode(sink):
+        decodes.append([len(sink._piv), 0])
+        current[:] = [decodes, sink]
+        try:
+            return real_try_decode(sink)
+        finally:
+            current.clear()
+
+    monkeypatch.setattr(linalg, "_gauss_jordan", gauss_jordan)
+    monkeypatch.setitem(vars(field), "matmul", matmul)
+    monkeypatch.setattr(scheme_sc.SinkStateSC, "ingest", ingest)
+    monkeypatch.setattr(scheme_sc.SinkStateSC, "try_decode", try_decode)
+
+    records, _ = run_experiment(cfg)
+    assert all(r.outcome == "decoded" and r.correct for r in records)
+    assert len(ingests) == len(decodes) == sum(r.stages_used for r in records)
+    # each ingest eliminates its new rows alone, taking at most one pivot each
+    assert all(pivots <= rows for rows, pivots, _ in ingests), ingests
+    assert all(passes == [rows] for rows, _, passes in ingests), ingests
+    # each decode forms R D once, and only with b pivots to decode from
+    assert all(products == (pivots >= cfg.b) for pivots, products in decodes), decodes
+    assert {pivots >= cfg.b for pivots, _ in decodes} == {False, True}
 
 
 def test_elimination_makes_no_elementwise_field_calls(monkeypatch):
