@@ -54,7 +54,6 @@ from .scheme_rs import (
     RsParams,
     RsSinkState,
     SharedSecret,
-    SuffixBlock,
     assemble_staircase,
     dense_key_equation,
     l_entry_map,

@@ -134,12 +134,22 @@ class Hypergraph:
 
     hyperedges: list[tuple[str, tuple[str, ...]]]
     nodes: list[str] = dc_field(default_factory=list)
+    order: list[str] = dc_field(default_factory=list)  # the nodes, topologically sorted
 
     def __post_init__(self):
+        import networkx as nx
+
         seen = dict.fromkeys(n for tx, rxs in self.hyperedges for n in (tx, *rxs))
         self.nodes = list(seen)
         if SOURCE not in seen or SINK not in seen:
             raise ValueError("topology must contain SRC and SINK nodes")
+        g = nx.DiGraph()
+        g.add_nodes_from(self.nodes)
+        g.add_edges_from((tx, rx) for tx, rxs in self.hyperedges for rx in rxs)
+        try:
+            self.order = list(nx.topological_sort(g))
+        except nx.NetworkXUnfeasible as exc:
+            raise ValueError("hypergraph topology must be acyclic") from exc
 
     @classmethod
     def from_text(cls, text: str) -> "Hypergraph":
@@ -220,19 +230,6 @@ class Hypergraph:
             return 0
         return int(nx.maximum_flow_value(g, "_ADV_SUPER", SINK))
 
-    def topo_order(self) -> list[str]:
-        import networkx as nx
-
-        g = nx.DiGraph()
-        g.add_nodes_from(self.nodes)
-        for tx, rxs in self.hyperedges:
-            for rx in rxs:
-                g.add_edge(tx, rx)
-        try:
-            return list(nx.topological_sort(g))
-        except nx.NetworkXUnfeasible as exc:
-            raise ValueError("hypergraph topology must be acyclic") from exc
-
 
 def hypergraph_transfer(field: Field, g: Hypergraph, stage_inputs: np.ndarray,
                         adversary_inputs: np.ndarray,
@@ -262,7 +259,7 @@ def hypergraph_transfer(field: Field, g: Hypergraph, stage_inputs: np.ndarray,
 
     src_seq = 0
     adv_seq = 0
-    for node in g.topo_order():
+    for node in g.order:
         for idx in out_edges[node]:
             ct = np.zeros(c, dtype=np.int64)
             cq = np.zeros(z_rows, dtype=np.int64)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import numbers
 import time
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
@@ -36,11 +37,13 @@ class ConfigError(ValueError):
 
 
 def _number(node, key: str, kind=int):
-    """``kind(node)``, or a ConfigError naming ``key``."""
-    try:
-        return kind(node)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{key}: expected {kind.__name__}, got {node!r}") from exc
+    """``node`` as a ``kind``, or a ConfigError naming ``key``.  Nothing is
+    coerced: an int must be an integer, a float any real number, and a
+    bool is neither."""
+    if isinstance(node, bool) or not isinstance(
+            node, numbers.Integral if kind is int else numbers.Real):
+        raise ConfigError(f"{key}: expected {kind.__name__}, got {node!r}")
+    return kind(node)
 
 
 # ---------------------------------------------------------------------------
@@ -97,9 +100,9 @@ class IidStageModel:
 
 
 def _parse_dist(node, name: str) -> tuple[list[int], list[float]]:
-    if isinstance(node, int):
-        return [node], [1.0]
-    if not (isinstance(node, dict) and isinstance(node.get("values"), list) and node["values"]
+    if not isinstance(node, dict):
+        return [_number(node, name)], [1.0]
+    if not (isinstance(node.get("values"), list) and node["values"]
             and isinstance(node.get("probs", []), (list, type(None)))):
         raise ConfigError(f"{name}: expected an integer or {{values: [...], probs: [...]}}")
     values = [_number(v, f"{name}.values") for v in node["values"]]
@@ -109,7 +112,7 @@ def _parse_dist(node, name: str) -> tuple[list[int], list[float]]:
     probs = [_number(p, f"{name}.probs", float) for p in probs]
     if len(probs) != len(values):
         raise ConfigError(f"{name}: probs length != values length")
-    if abs(sum(probs) - 1.0) > 1e-9 or min(probs) < 0:
+    if not (abs(sum(probs) - 1.0) <= 1e-9 and min(probs) >= 0):  # NaN fails too
         raise ConfigError(f"{name}: probs must be nonnegative and sum to 1")
     return values, probs
 
@@ -120,8 +123,8 @@ def _parse_stage_model(node, label: str):
     kind = node["kind"]
     if kind == "fixed":
         raw = node.get("schedule")
-        if not raw:
-            raise ConfigError(f"{label}: fixed stage model needs a non-empty 'schedule'")
+        if not isinstance(raw, list) or not raw:
+            raise ConfigError(f"{label}.schedule: fixed stage model needs a non-empty list")
         schedule = []
         for entry in raw:
             if not isinstance(entry, dict) or "M" not in entry:
@@ -140,10 +143,10 @@ def _parse_stage_model(node, label: str):
     if kind == "iid":
         m_vals, m_probs = _parse_dist(node.get("M"), f"{label}.M")
         z_vals, z_probs = _parse_dist(node.get("z", 0), f"{label}.z")
-        if max(z_vals) >= min(m_vals):
+        if min(z_vals) < 0 or max(z_vals) >= min(m_vals):
             raise ConfigError(
-                f"{label}: i.i.d. supports allow z >= M (violates z_i < M_i); "
-                f"max z = {max(z_vals)}, min M = {min(m_vals)}"
+                f"{label}: i.i.d. supports allow z < 0 or z >= M (violates 0 <= z_i < M_i); "
+                f"z in [{min(z_vals)}, {max(z_vals)}], min M = {min(m_vals)}"
             )
         c_node = node.get("c", "M")
         if c_node == "M":
@@ -235,6 +238,8 @@ def build_config(raw: dict, base_dir: Path | None = None) -> ExperimentConfig:
     if trials < 0:
         raise ConfigError("trials must be >= 0")
     seed = _number(raw.get("seed", 0), "seed")
+    if seed < 0:
+        raise ConfigError("seed must be >= 0")
     stage_cap = _number(raw.get("stage_cap", 64), "stage_cap")
     if stage_cap < 1:
         raise ConfigError("stage_cap must be >= 1")
@@ -254,11 +259,13 @@ def build_config(raw: dict, base_dir: Path | None = None) -> ExperimentConfig:
     channel_node = raw.get("channel", {"mode": "matrix"})
     if isinstance(channel_node, str):
         channel_node = {"mode": channel_node}
+    if not isinstance(channel_node, dict):
+        raise ConfigError(f"channel: expected a mode name or a mapping, got {channel_node!r}")
     mode = channel_node.get("mode", "matrix")
     topology = None
     if mode == "hypergraph":
         top_path = channel_node.get("topology")
-        if not top_path:
+        if not top_path or not isinstance(top_path, str):
             raise ConfigError("hypergraph channel mode needs a 'topology' file path")
         top_path = Path(top_path)
         if base_dir is not None and not top_path.is_absolute():
@@ -282,6 +289,10 @@ def build_config(raw: dict, base_dir: Path | None = None) -> ExperimentConfig:
     elif mode != "matrix":
         raise ConfigError(f"unknown channel mode {mode!r}")
 
+    validate = raw.get("validate", False)
+    if not isinstance(validate, bool):
+        raise ConfigError(f"validate: expected true or false, got {validate!r}")
+
     rs_params = None
     short_model = None
     if scheme == "random-secret":
@@ -293,9 +304,9 @@ def build_config(raw: dict, base_dir: Path | None = None) -> ExperimentConfig:
             margin = min(p.M - p.z for p in short_model.schedule)
         else:
             margin = min(short_model.m_values) - max(short_model.z_values)
-        if sigma > margin:
+        if not 1 <= sigma <= margin:
             raise ConfigError(
-                f"sigma = {sigma} violates sigma <= M_i - z_i for the short stage model "
+                f"sigma = {sigma} violates 1 <= sigma <= M_i - z_i for the short stage model "
                 f"(worst margin {margin})"
             )
         m_node = raw.get("m", "auto")
@@ -313,7 +324,7 @@ def build_config(raw: dict, base_dir: Path | None = None) -> ExperimentConfig:
         scheme=scheme, field_name=field_name, b=b, n=n, trials=trials, seed=seed,
         stage_cap=stage_cap, adversary=adversary, stage_model=stage_model,
         channel_mode=mode, topology=topology, rs_params=rs_params,
-        short_stage_model=short_model, validate=bool(raw.get("validate", False)),
+        short_stage_model=short_model, validate=validate,
     )
 
 

@@ -1,10 +1,12 @@
 """Random-secret scheme: no side channel, hashes ride the public network.
 
-The source and sink pre-share random symbols (independent of the message).
-Per stage k the encoder turns its share into a parity-check row block
-``D_k`` (powers of the shared points) and targets ``h_k``, solves the
-suffix ``l_k = h_k - D_k w`` for the vectorized message w, and ships two
-packet kinds through separate channels:
+The source and sink pre-share random symbols (independent of the message):
+per stage k, alpha_k parity points d and targets ``h_k``.  The parity-check
+row block ``D_k``, entry (i, j) = d_i^(j+1), is a function of the points,
+so both sides keep only the symbols and evaluate rows of D where they read
+them.  The encoder forms the suffix ``l_k = h_k - D_k w`` for the
+vectorized message w and ships two packet kinds through separate
+channels:
 
 * long packets: random combinations of (W | I_b), as in the secret-channel
   scheme;
@@ -25,13 +27,15 @@ block factors and solves it from them: the basis expansions pin the
 non-basis unknowns, each basis suffix unknown sits alone in one parity
 row, and what remains is a system in the basis message unknowns only.
 The decoder builds and solves only that system's leading rows, the ones
-the solver reads, from only the parity rows those rows use, and accepts a
-solution only if it passes a check of every block equation.  The dense
-matrix B is built only by ``dense_key_equation``, the oracle behind
-``validate`` and the tests.
+the solver reads, from only the parity rows those rows use, evaluated at
+their points, and accepts a solution only if it passes a check of every
+block equation, which evaluates every parity point once to form D w.
+Nothing is kept of D, and the dense matrix B is built only by
+``dense_key_equation``, the oracle behind ``validate`` and the tests.
 Positional bookkeeping of the dummy padding is the delicate part: the same
-index map drives the staircase assembly, the dummy-slot constraints, and
-the scatter of suffix unknowns into parity rows.
+index map (``l_entry_map``) drives the dummy-slot constraints, the scatter
+of suffix unknowns into parity rows and the ground-truth layout of
+``truth_vector``.
 """
 
 from __future__ import annotations
@@ -87,14 +91,17 @@ class RsParams:
 
 class SharedSecret:
     """Pre-shared random symbols, drawn lazily stage by stage from a
-    dedicated generator so they are independent of the message."""
+    dedicated generator so they are independent of the message.
+
+    Only the symbols are kept, (points, targets) per stage: the parity
+    block D_k, entry (i, j) = d_i^(j+1), is a function of the points and is
+    evaluated wherever it is read, never stored."""
 
     def __init__(self, field: Field, params: RsParams, rng: np.random.Generator):
         self.field = field
         self.params = params
         self._rng = rng
         self._stages: list[tuple[np.ndarray, np.ndarray]] = []
-        self._parity: list[np.ndarray] = []
 
     @classmethod
     def from_symbols(cls, field: Field, params: RsParams,
@@ -127,40 +134,27 @@ class SharedSecret:
     def consumed_symbols(self) -> int:
         return sum(2 * d.size for d, _ in self._stages)
 
-    def parity_matrix(self, k: int) -> np.ndarray:
-        """D_k with entry (i, j) = (d_i)^(j+1), j < n*b; built once per stage."""
-        while len(self._parity) < k:
-            d_pts, _ = self.stage(len(self._parity) + 1)
-            self._parity.append(
-                linalg.vandermonde(self.field, d_pts, self.params.n * self.params.b).T)
-        return self._parity[k - 1]
-
-    def stacked_parity(self, i: int) -> np.ndarray:
-        return np.vstack([self.parity_matrix(k) for k in range(1, i + 1)])
-
-    def stacked_targets(self, i: int) -> np.ndarray:
-        return np.concatenate([self.stage(k)[1] for k in range(1, i + 1)])
+    def stacked(self, i: int) -> tuple[np.ndarray, np.ndarray]:
+        """Points and targets of stages 1..i, each concatenated."""
+        stages = [self.stage(k) for k in range(1, i + 1)]
+        return (np.concatenate([d for d, _ in stages]),
+                np.concatenate([h for _, h in stages]))
 
 
-@dataclass
-class SuffixBlock:
-    """Stage-k suffix: l_k = h_k - D_k w reshaped to sigma x (k m)."""
-
-    stage: int
-    script_l: np.ndarray
-    l_vec: np.ndarray
+def _parity_times(field: Field, points: np.ndarray, w_vec: np.ndarray) -> np.ndarray:
+    """D w for the parity rows at ``points`` (entry (i, j) = points[i]^(j+1)),
+    D evaluated for this product only."""
+    return field.matmul(w_vec[None, :], linalg.vandermonde(field, points, w_vec.size))[0]
 
 
 def rs_make_suffix(field: Field, w_vec: np.ndarray, secret: SharedSecret,
-                   k: int) -> SuffixBlock:
+                   k: int) -> np.ndarray:
+    """The stage-k suffix vector l_k = h_k - D_k w."""
     p = secret.params
     if w_vec.size != p.n * p.b:
         raise ValueError(f"message vector length {w_vec.size} != n*b = {p.n * p.b}")
-    d_k = secret.parity_matrix(k)
-    _, h_k = secret.stage(k)
-    l_vec = field.sub(h_k, field.matmul(d_k, w_vec[:, None])[:, 0])
-    return SuffixBlock(stage=k, script_l=linalg.devectorize(l_vec, p.sigma, k * p.m),
-                       l_vec=l_vec)
+    d_k, h_k = secret.stage(k)
+    return field.sub(h_k, _parity_times(field, d_k, w_vec))
 
 
 def l_entry_map(i: int, m: int, sigma: int) -> np.ndarray:
@@ -181,17 +175,16 @@ def l_entry_map(i: int, m: int, sigma: int) -> np.ndarray:
     return out
 
 
-def assemble_staircase(params: RsParams, suffixes: list[SuffixBlock]) -> np.ndarray:
-    """Stack the suffix blocks as (script_l | dummy 0 | 0 | I_sigma) rows,
-    re-padded to the current stage's width i*(m + sigma)."""
+def assemble_staircase(params: RsParams, suffixes: list[np.ndarray]) -> np.ndarray:
+    """Stack the suffix vectors l_k, each as its sigma x (k m) block, as
+    (L_k | dummy 0 | 0 | I_sigma) rows, re-padded to the current stage's
+    width i*(m + sigma)."""
     i = len(suffixes)
     m, sigma = params.m, params.sigma
     out = linalg.zeros(i * sigma, i * (m + sigma))
-    for sfx in suffixes:
-        k = sfx.stage
-        rows = slice((k - 1) * sigma, k * sigma)
-        out[rows, : k * m] = sfx.script_l
-        out[rows, i * m + (k - 1) * sigma: i * m + k * sigma] = linalg.eye(sigma)
+    for k, l_k in enumerate(suffixes, start=1):
+        out[(k - 1) * sigma: k * sigma, : k * m] = linalg.devectorize(l_k, sigma, k * m)
+    out[:, i * m:] = linalg.eye(i * sigma)
     return out
 
 
@@ -208,7 +201,7 @@ class RsEncoder:
         self.msg = msg
         self.secret = secret
         self.w_vec = linalg.vectorize(msg.w)
-        self.suffixes: list[SuffixBlock] = []
+        self.suffixes: list[np.ndarray] = []
 
     def encode_stage(self, i: int, c_i: int, cbar_i: int,
                      rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
@@ -228,9 +221,11 @@ class RsEncoder:
 @dataclass
 class KeyEquation:
     """The decode system B v = rhs kept as its block factors: the basis
-    expansions of both observation stacks, the column-permuted parity
-    staircase and its targets, plus the bookkeeping needed to solve it and
-    to reassemble the message (``dense_key_equation`` builds B itself)."""
+    expansions of both observation stacks, the parity points and targets,
+    plus the bookkeeping needed to solve it and to reassemble the message.
+    The parity staircase D is not held: row t of D, in the unknowns' order,
+    is d_t^(xperm + 1), evaluated where it is read (``dense_key_equation``
+    builds D and B whole)."""
 
     stage: int
     r: int
@@ -249,7 +244,8 @@ class KeyEquation:
     f_a: np.ndarray
     yp: np.ndarray
     jp: np.ndarray
-    parity: np.ndarray           # stacked D, columns in the x_col_order layout
+    xperm: np.ndarray            # vec(W) index of each message unknown
+    points: np.ndarray           # stacked parity points d
     targets: np.ndarray          # stacked h
 
 
@@ -343,7 +339,7 @@ class RsSinkState:
         lmap = l_entry_map(i, p.m, p.sigma)
         slot_idx = lmap[l_col_order].reshape(-1)
         kept_mask = slot_idx >= 0
-        xperm = (b * np.asarray(x_col_order)[:, None] + np.arange(b)).reshape(-1)
+        points, targets = self.secret.stacked(i)
         return KeyEquation(
             stage=i, r=r, r_bar=r_bar, beta=n + b - r, gamma=i * (p.m + p.sigma) - r_bar,
             x_col_order=x_col_order, l_col_order=l_col_order,
@@ -352,11 +348,11 @@ class RsSinkState:
             f_z=coef_y[: r - b], f_x=coef_y[r - b:],
             f_e=coef_j[: r_bar - isig], f_a=coef_j[r_bar - isig:],
             yp=yp, jp=jp,
-            parity=self.secret.stacked_parity(i)[:, xperm],
-            targets=self.secret.stacked_targets(i),
+            xperm=(b * np.asarray(x_col_order)[:, None] + np.arange(b)).reshape(-1),
+            points=points, targets=targets,
         )
 
-    def try_decode(self, ke: KeyEquation | None = None) -> DecodeResult:
+    def try_decode(self, ke: KeyEquation) -> DecodeResult:
         """Solve the key equation from its blocks.
 
         With X = (X_a | X_b) and L = (L_a | L_b) split at the basis columns,
@@ -371,22 +367,19 @@ class RsSinkState:
         g = min(gamma, ceil(2 theta / (i sigma))) L_b columns, where
         theta = b(r-b) is the number of unknowns it eliminates, and only
         the parity rows they use, those of the L_a slots and of the slice's
-        kept slots.  The slice's 2 theta rows (every row, when fewer) hold
-        the theta + 1 rows ``solve_exact`` eliminates first and rows that
-        one product checks.  The slice's elimination is then the full
-        system's, so NO_SOLUTION on it is final; MULTIPLE with rows left
-        over is re-solved on every row, the one case that builds every
-        parity row.  A unique candidate is accepted only if it satisfies
-        the three block equations, which cover every row of B v = rhs;
-        when rows were left unread, a candidate that fails them means the
-        full system has no solution."""
+        kept slots, evaluated at their points in one pass.  The slice's
+        2 theta rows (every row, when fewer) hold the theta + 1 rows
+        ``solve_exact`` eliminates first and rows that one product checks.
+        The slice's elimination is then the full system's, so NO_SOLUTION
+        on it is final; MULTIPLE with rows left over is re-solved on every
+        row, evaluating only the parity rows not read yet.  A unique
+        candidate is accepted only if it satisfies the three block
+        equations, which cover every row of B v = rhs; when rows were left
+        unread, a candidate that fails them means the full system has no
+        solution."""
         f = self.field
         p = self.params
-        if ke is None:
-            ke = self.build_key_equation()
-        if ke is None:
-            return DecodeResult(Decode.NEED_MORE)
-        b = p.b
+        b, nb = p.b, p.n * p.b
         isig = ke.stage * p.sigma
         r, r_bar, gamma = ke.r, ke.r_bar, ke.gamma
         theta_a = b * (r - b)
@@ -402,8 +395,9 @@ class RsSinkState:
             # the given parity rows as affine maps of x_a, l = c - A_x x_a,
             # as [-A_x | c]: D x = D_a x_a + D_b vec(X_a F_z + F_x), where
             # D_b vec(X_a F_z) is one F_z product over D_b's columns
-            # regrouped by X_b column
-            d = ke.parity[rows]
+            # regrouped by X_b column; the rows are evaluated at their
+            # points with their columns in the unknowns' order
+            d = linalg.vandermonde(f, ke.points[rows], nb)[ke.xperm].T
             d_a, d_b = d[:, :theta_a], d[:, theta_a:]
             cnt = d.shape[0]
             d_b_fz = f.matmul(ke.f_z, d_b.reshape(cnt, ke.beta, b).transpose(1, 0, 2)
@@ -413,30 +407,31 @@ class RsSinkState:
             c = f.sub(ke.targets[rows], f.matmul(d_b, f_x_vec[:, None])[:, 0])
             return np.hstack([f.neg(a_x), c[:, None]])
 
+        g = min(gamma, -(-2 * theta_a // isig))
+        read_b = int(kept_b[: g * isig].sum())
+        aff = l_aff(np.concatenate([rows_a, rows_b[:read_b]]))
+        l_aff_a, want_b = aff[:la_cnt], aff[la_cnt:]
         # vec(L_a) with its dummy slots zero, pushed through vec(Z) -> vec(Z F_e)
-        l_aff_a = l_aff(rows_a)
         la_aff = linalg.zeros(n_basis_slots, theta_a + 1)
         la_aff[kept_a] = l_aff_a
         la_aff = la_aff.reshape(r_bar - isig, isig * (theta_a + 1))
         f_a_vec = linalg.vectorize(ke.f_a)
 
-        def solve_leading(g: int):
+        def solve_leading(g: int, want_b):
             # rows of the leading g L_b columns: row c*isig + s is slot s of column c
             rows = g * isig
             lb_aff = f.matmul(ke.f_e.T[:g], la_aff).reshape(rows, theta_a + 1)
             lb_aff[:, theta_a] = f.add(lb_aff[:, theta_a], f_a_vec[:rows])
             # ... must equal the parity value on kept slots and zero on dummy ones
-            kept = kept_b[:rows]
             want = linalg.zeros(rows, theta_a + 1)
-            want[kept] = l_aff(rows_b[: int(kept.sum())])
+            want[kept_b[:rows]] = want_b
             diff = f.sub(lb_aff, want)
             return linalg.solve_exact(f, diff[:, :theta_a], f.neg(diff[:, theta_a]))
 
-        g = min(gamma, -(-2 * theta_a // isig))
-        out = solve_leading(g)
+        out = solve_leading(g, want_b)
         if out.status is SolveStatus.MULTIPLE and g < gamma:
             g = gamma
-            out = solve_leading(g)
+            out = solve_leading(g, np.vstack([want_b, l_aff(rows_b[read_b:])]))
         if out.status is not SolveStatus.UNIQUE:
             return unsolved(out.status)
 
@@ -459,14 +454,17 @@ class RsSinkState:
 def _blocks_hold(f: Field, ke: KeyEquation, x_a, x_b, l_a, l_b) -> bool:
     """The three block equations of B v = rhs for v = (X_a, X_b, L_a, L_b):
     D x + l = h, t_hat (X_b - X_a F_z) = t_hat F_x, and
-    t_bar_hat (L_b - L_a F_e) = t_bar_hat F_a with the dummy slots zero."""
+    t_bar_hat (L_b - L_a F_e) = t_bar_hat F_a with the dummy slots zero.
+    D x is formed as D vec(W), x put back in vec(W) order, with D evaluated
+    at every parity point for this product only."""
     l_slots = np.concatenate([linalg.vectorize(l_a), linalg.vectorize(l_b)])
     if np.any(l_slots[~ke.kept_mask]):
         return False
-    l_sfx = np.zeros(ke.parity.shape[0], dtype=np.int64)
+    l_sfx = np.zeros(ke.points.size, dtype=np.int64)
     l_sfx[ke.l_kept_idx] = l_slots[ke.kept_mask]
-    x = linalg.vectorize(np.hstack([x_a, x_b]))
-    return (np.array_equal(f.add(f.matmul(ke.parity, x[:, None])[:, 0], l_sfx), ke.targets)
+    w_vec = np.empty(ke.xperm.size, dtype=np.int64)
+    w_vec[ke.xperm] = linalg.vectorize(np.hstack([x_a, x_b]))
+    return (np.array_equal(f.add(_parity_times(f, ke.points, w_vec), l_sfx), ke.targets)
             and np.array_equal(f.matmul(ke.t_hat, f.sub(x_b, f.matmul(x_a, ke.f_z))),
                                f.matmul(ke.t_hat, ke.f_x))
             and np.array_equal(f.matmul(ke.t_bar_hat, f.sub(l_b, f.matmul(l_a, ke.f_e))),
@@ -481,7 +479,7 @@ def dense_key_equation(ke: KeyEquation, secret: SharedSecret) -> tuple[np.ndarra
     p = secret.params
     b, isig = p.b, ke.stage * p.sigma
     r, r_bar, beta, gamma = ke.r, ke.r_bar, ke.beta, ke.gamma
-    alpha_tot, nb = ke.parity.shape
+    alpha_tot, nb = ke.points.size, ke.xperm.size
 
     # top block: for each remaining long column, its basis expansion
     # cross-multiplied by t_hat
@@ -503,7 +501,7 @@ def dense_key_equation(ke: KeyEquation, secret: SharedSecret) -> tuple[np.ndarra
     b_mat = np.vstack([
         np.hstack([b_top, linalg.zeros(beta * r, alpha_tot)]),
         np.hstack([linalg.zeros(gamma * r_bar, nb), b_mid]),
-        np.hstack([ke.parity, b_bot_l]),
+        np.hstack([linalg.vandermonde(f, ke.points, nb)[ke.xperm].T, b_bot_l]),
     ])
     rhs = np.concatenate([
         linalg.vectorize(f.matmul(ke.t_hat, ke.f_x)),
@@ -514,18 +512,11 @@ def dense_key_equation(ke: KeyEquation, secret: SharedSecret) -> tuple[np.ndarra
 
 
 def truth_vector(ke: KeyEquation, msg: SourceMessage,
-                 suffixes: list[SuffixBlock]) -> np.ndarray:
+                 suffixes: list[np.ndarray]) -> np.ndarray:
     """Assemble the ground-truth unknown vector in the key equation's
     permuted, dummy-deleted layout (testing and validation helper)."""
-    x_parts = [msg.w[:, c] for c in ke.x_col_order]
-    i = ke.stage
-    m = suffixes[0].script_l.shape[1]
-    l_parts = []
-    for c in ke.l_col_order:
-        for k in range(1, i + 1):
-            if c < k * m:
-                l_parts.append(suffixes[k - 1].script_l[:, c])
-    return np.concatenate(x_parts + l_parts)
+    return np.concatenate([linalg.vectorize(msg.w[:, ke.x_col_order]),
+                           np.concatenate(suffixes)[ke.l_kept_idx]])
 
 
 def rs_stages(field: Field, params: RsParams, msg: SourceMessage,
@@ -567,11 +558,9 @@ def rs_stages(field: Field, params: RsParams, msg: SourceMessage,
 
 def _validate_stage(encoder: RsEncoder) -> None:
     f = encoder.field
-    secret = encoder.secret
-    i = len(encoder.suffixes)
-    lhs = f.matmul(secret.stacked_parity(i), encoder.w_vec[:, None])[:, 0]
-    l_all = np.concatenate([s.l_vec for s in encoder.suffixes])
-    if not np.array_equal(f.add(lhs, l_all), secret.stacked_targets(i)):
+    points, targets = encoder.secret.stacked(len(encoder.suffixes))
+    lhs = _parity_times(f, points, encoder.w_vec)
+    if not np.array_equal(f.add(lhs, np.concatenate(encoder.suffixes)), targets):
         raise AssertionError("parity staircase identity violated")
 
 

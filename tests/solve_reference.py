@@ -105,9 +105,11 @@ def full_row_decode(f, p, ke) -> DecodeResult:
     rows_a = ke.l_kept_idx[:la_cnt]      # parity row of each basis suffix unknown
     rows_b = ke.l_kept_idx[la_cnt:]      # and of each kept non-basis one
 
-    # parity rows as affine maps of x_a, [coefficients | constant]
-    d_a, d_b = ke.parity[:, :theta_a], ke.parity[:, theta_a:]
-    alpha_tot = ke.parity.shape[0]
+    # every parity row, evaluated at its point with its columns in the
+    # unknowns' order, as an affine map of x_a, [coefficients | constant]
+    parity = linalg.vandermonde(f, ke.points, p.n * b)[ke.xperm].T
+    d_a, d_b = parity[:, :theta_a], parity[:, theta_a:]
+    alpha_tot = ke.points.size
     d_b_fz = f.matmul(ke.f_z, d_b.reshape(alpha_tot, ke.beta, b).transpose(1, 0, 2)
                       .reshape(ke.beta, alpha_tot * b))
     a_x = f.add(d_a, d_b_fz.reshape(r - b, alpha_tot, b).transpose(1, 0, 2)

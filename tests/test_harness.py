@@ -90,9 +90,9 @@ def test_rejects_missing_short_stages():
 
 
 def test_rejects_sigma_margin():
-    bad = {**RS_BASE, "sigma": 2}
-    with pytest.raises(ConfigError, match="sigma"):
-        build_config(bad)
+    for sigma in (2, 0):  # above the short margin, and below 1
+        with pytest.raises(ConfigError, match="sigma"):
+            build_config({**RS_BASE, "sigma": sigma})
 
 
 def test_rejects_undersized_m():
@@ -330,11 +330,25 @@ def test_cli_validate_rejects(tmp_path, capsys):
     assert cli.main(["validate", "--config", str(path)]) == 2
     assert "z_i < M_i" in capsys.readouterr().err
     # malformed values are rejected by the key they sit under, not by a
-    # traceback from inside the parser
+    # traceback from inside the parser or a silent coercion
+    cycle = tmp_path / "cycle.topo"
+    cycle.write_text("SRC -> A\nA -> B\nB -> A\nA -> SINK\n", encoding="utf-8")
     for bad, key in (
             ({"stages": {"kind": "fixed", "schedule": [{"z": 1}]}}, "'M'"),
             ({"stages": {"kind": "iid", "M": {"values": 3}}}, "stages.M"),
-            ({"b": "two"}, "b:")):
+            ({"b": "two"}, "b:"),
+            ({"b": 2.7}, "b:"),
+            ({"b": True}, "b:"),
+            ({"stages": {"kind": "fixed", "schedule": [{"M": 2.5}]}}, "stages.schedule.M"),
+            ({"stages": {"kind": "fixed", "schedule": 5}}, "stages.schedule"),
+            ({"validate": "no"}, "validate"),
+            ({"channel": 5}, "channel"),
+            ({"channel": [1]}, "channel"),
+            ({"seed": -1}, "seed"),
+            ({"stages": {"kind": "iid", "M": {"values": [3]}, "z": {"values": [-1]}}}, "0 <= z_i"),
+            ({"stages": {"kind": "iid", "M": {"values": [3], "probs": [float("nan")]}}},
+             "stages.M: probs"),
+            ({"channel": {"mode": "hypergraph", "topology": str(cycle)}}, "acyclic")):
         with pytest.raises(ConfigError, match=key):
             build_config({**SC_BASE, **bad})
         path = write_config(tmp_path, {**SC_BASE, **bad})

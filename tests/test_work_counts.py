@@ -9,9 +9,15 @@ pass, and the products, on one seeded benchmark session per scheme pins
 that down exactly, where a timing could not: a slide back into
 re-eliminating what was kept fails here.  So does a slide back into pivots
 made of elementwise field calls, which the elimination kernel does without.
+The random-secret code keeps its secret as symbols and evaluates parity
+rows at their points only where it reads them; counting the points of
+every evaluation, and looking for an n*b-column array left behind, pins
+that down too.
 """
 
 from pathlib import Path
+
+import numpy as np
 
 from ratelessnc import linalg, scheme_rs, scheme_sc
 from ratelessnc.field import get_field
@@ -58,6 +64,111 @@ def test_rs_sink_eliminates_only_new_rows(monkeypatch):
     assert all(passes == 0 for _, _, _, passes in builds), builds
     assert all(pivots <= 2 * rows for _, rows, pivots, _ in extends), extends
     assert sum(pivots for _, _, pivots, _ in extends) > 0
+
+
+def _held_arrays(obj, seen):
+    """Every numpy array reachable from ``obj`` through attributes, lists,
+    tuples and dicts."""
+    if id(obj) in seen:
+        return
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, (list, tuple)):
+        for item in obj:
+            yield from _held_arrays(item, seen)
+    elif isinstance(obj, dict):
+        for item in obj.values():
+            yield from _held_arrays(item, seen)
+    elif hasattr(obj, "__dict__"):
+        yield from _held_arrays(vars(obj), seen)
+
+
+def test_rs_parity_rows_evaluated_only_where_read(monkeypatch):
+    cfg = load_config(CONFIG, {"seed": 1})
+    p = cfg.rs_params
+    where = ["encoder"]         # the innermost watched call open now
+    events = []                 # (where, "call", args) / (where, "points" or "rows", count)
+    real_vandermonde = linalg.vandermonde
+    real_solve = linalg.solve_exact
+
+    def vandermonde(field, points, num_rows):
+        events.append((where[-1], "points", np.size(points)))
+        return real_vandermonde(field, points, num_rows)
+
+    def solve_exact(field, a, rhs):
+        events.append((where[-1], "rows", a.shape[0]))
+        return real_solve(field, a, rhs)
+
+    def within(name, fn):
+        def wrapper(*args):
+            events.append((name, "call", args))
+            where.append(name)
+            try:
+                return fn(*args)
+            finally:
+                where.pop()
+        return wrapper
+
+    monkeypatch.setattr(linalg, "vandermonde", vandermonde)
+    monkeypatch.setattr(linalg, "solve_exact", solve_exact)
+    for owner, name in ((scheme_rs.RsSinkState, "build_key_equation"),
+                        (scheme_rs.RsSinkState, "try_decode"), (scheme_rs, "_blocks_hold")):
+        monkeypatch.setattr(owner, name, within(name, getattr(owner, name)))
+
+    (rec,), _ = run_experiment(cfg)
+    assert rec.outcome == "decoded" and rec.correct and rec.stages_used == 8
+
+    # the encoder evaluates each stage's own points once, for l_k = h_k - D_k w
+    assert [n for at, kind, n in events if at == "encoder"] == [p.alpha(k) for k in range(1, 9)]
+    # building the key equation evaluates nothing: it carries the points
+    builds = [args for at, kind, args in events if (at, kind) == ("build_key_equation", "call")]
+    assert len(builds) == 8
+    assert not [e for e in events if e[0] == "build_key_equation" and e[1] != "call"]
+
+    decodes = []                # (key equation, events inside the decode)
+    for at, kind, what in events:
+        if (at, kind) == ("try_decode", "call"):
+            decodes.append((what[1], []))
+        elif at in ("try_decode", "_blocks_hold"):
+            decodes[-1][1].append((at, kind, what))
+    assert decodes
+    solves = 0
+    for ke, inside in decodes:
+        isig = ke.stage * p.sigma
+        n_basis = (ke.r_bar - isig) * isig
+        kept_a = int(ke.kept_mask[:n_basis].sum())
+        evaluated, pending = 0, 0
+        for at, kind, what in inside:
+            if at != "try_decode":
+                continue
+            if kind == "points":
+                evaluated += what
+                pending += 1
+            else:
+                # one evaluation per solve, of the parity rows it reads and
+                # no others: the L_a slots' and the kept slots among its
+                # L_b rows, a re-solve's only where not read before
+                assert pending == 1, inside
+                assert evaluated == kept_a + int(ke.kept_mask[n_basis: n_basis + what].sum())
+                pending = 0
+                solves += 1
+        # the acceptance check evaluates every parity point at most once per
+        # candidate: one with a nonzero dummy slot is refused before that
+        checks = [(kind, what) for at, kind, what in inside if at == "_blocks_hold"]
+        kinds = [kind for kind, _ in checks]
+        assert all("call" in pair for pair in zip(kinds, kinds[1:])), kinds
+        assert all(what == ke.points.size for kind, what in checks if kind == "points")
+    assert solves >= len(decodes)
+    assert kinds == ["call", "points"]  # the decoded candidate's check
+
+    # and no parity block is left behind: nothing the secret, the sink or
+    # the last key equation holds is n*b columns wide
+    sink, ke = builds[-1][0], decodes[-1][0]
+    seen = set()
+    shapes = [a.shape for obj in (sink.secret, sink, ke) for a in _held_arrays(obj, seen)]
+    assert any(len(s) == 2 for s in shapes)
+    assert not [s for s in shapes if len(s) == 2 and s[1] == p.n * p.b], shapes
 
 
 def test_sc_sink_eliminates_only_new_rows(monkeypatch):
