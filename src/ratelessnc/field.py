@@ -19,13 +19,20 @@ inside this module:
   row r so that ``block[r, 0] == 1`` and clears column 0 in every other
   row.  GF(2^w) does it in the log domain with Python-int scalars (the
   rank-1 update is two log gathers, one antilog gather and one in-place
-  XOR); GF(p) with int64 arithmetic and one modular inverse by ``pow``.
-  No per-element field call is made.
-* ``matmul``.  In GF(2^w) a product of at most ``_SLAB`` entry products
-  is one gather over all of them, XOR-reduced over the inner axis.  A
-  larger one loops over its shortest axis and gathers the other two in
-  slabs of whole lines holding at most ``_SLAB`` entries (one line, when
-  a line alone is longer).
+  XOR into the block); GF(p) with int64 arithmetic and one modular
+  inverse by ``pow``.  No per-element field call is made.
+* ``matmul``.  In GF(2^w) a product of at most ``_SLAB`` (2^16) entry
+  products is one ``take`` from the antilog table over all of them,
+  XOR-reduced over the inner axis.  A larger one loops over its shortest
+  axis and gathers the other two in slabs of whole lines holding at most
+  ``_SLAB`` entries (one line, when a line alone is longer).
+
+GF(2^w) keeps one antilog table, stored as ``uint16`` (512 KiB at
+w = 16, where an ``int64`` one takes 2 MiB), beside the ``int64`` log
+table; gathers and XOR reductions run in ``uint16``, and ``mul``, ``inv``,
+``pow_int`` and ``matmul`` return ``int64`` as every other routine does.
+The tables are built by doubling: x^(h+j) = x^j * x^h, a GF(2)-linear map
+of the bits of x^j.
 
 Table indices: ``log`` maps nonzero elements to [0, q-1) and zero to
 ``zoff = 2q``; ``exp`` has 4q + 1 entries, period q - 1 on [0, 2(q-1))
@@ -43,9 +50,10 @@ import numpy as np
 
 # Largest number of entry products one GF(2^w) matmul gather makes.  Up to
 # this size a product is a single gather (least per-call overhead); above
-# it, slabs of this many int64 entries (128 KiB) keep each temporary in
-# cache, where one gather over a tall product would spill it.
-_SLAB = 1 << 14
+# it, slabs of this many entries (512 KiB of indices, 128 KiB of uint16
+# products) keep each temporary in cache, where one gather over a tall
+# product would spill it.
+_SLAB = 1 << 16
 
 # Primitive polynomials for GF(2^w) with x primitive, keyed by w.  The
 # degree-16 entry is x^16 + x^12 + x^3 + x + 1; table construction checks
@@ -139,6 +147,12 @@ class Field:
         return f"{type(self).__name__}(q={self.q})"
 
 
+def _times_x(v: int, q: int, poly: int) -> int:
+    """v * x in GF(2)[x] / poly, for v < q = 2^deg(poly)."""
+    v <<= 1
+    return v ^ poly if v & q else v
+
+
 class GF2Field(Field):
     """GF(2^w) via log/antilog tables.
 
@@ -150,27 +164,38 @@ class GF2Field(Field):
         if not 2 <= w <= 16:
             raise ValueError(f"extension degree must be in [2, 16], got {w}")
         self.w = w
-        self.q = 1 << w
+        self.q = q = 1 << w
         self.poly = poly if poly is not None else _DEFAULT_POLY[w]
         if self.poly.bit_length() - 1 != w:
             raise ValueError(f"reduction polynomial degree {self.poly.bit_length()-1} != {w}")
 
-        zoff = 1 << (w + 1)  # log "of zero"; sums with it land in the zero tail
-        exp = np.zeros(2 * zoff + 1, dtype=np.int64)
-        log = np.zeros(self.q, dtype=np.int64)
-        x = 1
-        for i in range(self.q - 1):
-            exp[i] = x
-            log[x] = i
-            x <<= 1
-            if x & self.q:
-                x ^= self.poly
-        if x != 1 or np.unique(exp[: self.q - 1]).size != self.q - 1:
+        zoff = 2 * q  # log "of zero"; sums with it land in the zero tail
+        exp = np.zeros(2 * zoff + 1, dtype=np.uint16)
+        # powers x^0 .. x^(q-2) by doubling: x^(h+j) = x^j * x^h, and
+        # multiplying by x^h maps bit k of x^j to x^(h+k)
+        exp[0] = 1
+        h = 1
+        while h < q - 1:
+            t = min(h, q - 1 - h)
+            low = exp[:t].astype(np.int64)
+            image = _times_x(int(exp[h - 1]), q, self.poly)  # x^h
+            acc = np.zeros(t, dtype=np.int64)
+            for k in range(w):
+                acc ^= (low >> k & 1) * image
+                image = _times_x(image, q, self.poly)
+            exp[h: h + t] = acc
+            h += t
+        cycle = exp[: q - 1]
+        log = np.zeros(q, dtype=np.int64)
+        order = np.arange(q - 1)
+        log[cycle] = order  # a repeated power keeps only its last index
+        if (_times_x(int(cycle[-1]), q, self.poly) != 1
+                or not np.array_equal(log[cycle], order)):
             raise ValueError(
                 f"polynomial {self.poly:#x} is not irreducible with x primitive; "
                 "cannot build log tables"
             )
-        exp[self.q - 1 : 2 * (self.q - 1)] = exp[: self.q - 1]
+        exp[q - 1: 2 * (q - 1)] = cycle
         log[0] = zoff
         self._exp = exp
         self._log = log
@@ -185,13 +210,13 @@ class GF2Field(Field):
         return np.asarray(a) + 0  # -a == a
 
     def mul(self, a, b):
-        return self._exp[self._log[a] + self._log[b]]
+        return self._exp.take(self._log[a] + self._log[b]).astype(np.int64)
 
     def inv(self, a):
         a = np.asarray(a)
         if np.any(a == 0):
             raise ZeroDivisionError("zero has no multiplicative inverse")
-        return self._exp[(self.q - 1) - self._log[a]]
+        return self._exp.take((self.q - 1) - self._log[a]).astype(np.int64)
 
     def pow_int(self, a, k: int):
         if k < 0:
@@ -200,7 +225,7 @@ class GF2Field(Field):
         if k == 0:
             return np.ones_like(a)
         e = (self._log[a] * (k % (self.q - 1))) % (self.q - 1)
-        return np.where(a == 0, 0, self._exp[e])
+        return np.where(a == 0, 0, self._exp.take(e).astype(np.int64))
 
     def matmul(self, a, b):
         a = np.asarray(a)
@@ -217,8 +242,8 @@ class GF2Field(Field):
         la = self._log[a]
         lb = self._log[b]
         if m * k * n <= _SLAB:
-            return np.bitwise_xor.reduce(exp[la[:, :, None] + lb], axis=1)
-        out = np.zeros((m, n), dtype=self.dtype)
+            return np.bitwise_xor.reduce(exp.take(la[:, :, None] + lb), axis=1).astype(self.dtype)
+        out = np.zeros((m, n), dtype=exp.dtype)
         # loop over the shortest of the three axes: one rank-1 update per
         # inner index (XOR sums commute), or one k-by-long reduction per row
         # or column of the shorter output axis; each gather covers a slab
@@ -227,20 +252,20 @@ class GF2Field(Field):
             h = max(1, _SLAB // n)
             for t in range(k):
                 for i in range(0, m, h):
-                    out[i: i + h] ^= exp[la[i: i + h, t, None] + lb[t]]
+                    out[i: i + h] ^= exp.take(la[i: i + h, t, None] + lb[t])
         elif m <= n:
             h = max(1, _SLAB // k)
             for i in range(m):
                 for j in range(0, n, h):
                     out[i, j: j + h] = np.bitwise_xor.reduce(
-                        exp[la[i, :, None] + lb[:, j: j + h]], axis=0)
+                        exp.take(la[i, :, None] + lb[:, j: j + h]), axis=0)
         else:
             h = max(1, _SLAB // k)
             for j in range(n):
                 for i in range(0, m, h):
                     out[i: i + h, j] = np.bitwise_xor.reduce(
-                        exp[la[i: i + h] + lb[:, j]], axis=1)
-        return out
+                        exp.take(la[i: i + h] + lb[:, j]), axis=1)
+        return out.astype(self.dtype)
 
     def pivot_step(self, block, r):
         exp, log = self._exp, self._log
@@ -248,11 +273,11 @@ class GF2Field(Field):
         lrow = log[row]
         lp = int(lrow[0])
         if lp:  # pivot != 1: multiply the row by exp[q-1-lp], its inverse
-            row[:] = exp[lrow + (self.q - 1 - lp)]
+            row[:] = exp.take(lrow + (self.q - 1 - lp))
             lrow = log[row]
         lf = log[block[:, 0]]
         lf[r] = self._zoff  # row r is left as it is
-        block ^= exp[lf[:, None] + lrow]
+        block ^= exp.take(lf[:, None] + lrow)
 
 
 class PrimeField(Field):

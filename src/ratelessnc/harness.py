@@ -13,6 +13,7 @@ trial id.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import json
 import numbers
@@ -84,10 +85,13 @@ class IidStageModel:
     cbar: int
 
     def iterate(self, rng: np.random.Generator):
+        draw_m = _sampler(self.m_values, self.m_probs)
+        draw_z = _sampler(self.z_values, self.z_probs)
+        draw_c = None if self.c_values is None else _sampler(self.c_values, self.c_probs)
         while True:
-            m = int(rng.choice(self.m_values, p=self.m_probs))
-            z = int(rng.choice(self.z_values, p=self.z_probs))
-            c = m if self.c_values is None else int(rng.choice(self.c_values, p=self.c_probs))
+            m = draw_m(rng)
+            z = draw_z(rng)
+            c = m if draw_c is None else draw_c(rng)
             yield StageParams(M=m, z=z, c=c)
 
     @property
@@ -97,6 +101,15 @@ class IidStageModel:
     @property
     def mean_z(self) -> float:
         return float(np.dot(self.z_values, self.z_probs))
+
+
+def _sampler(values: list[int], probs: list[float]):
+    """Draws of ``rng.choice(values, p=probs)``, the same ones from the same
+    generator: the first value whose normalised cdf exceeds one uniform
+    ``rng.random()``, with the cdf computed once."""
+    cdf = np.cumsum(probs)
+    cdf = (cdf / cdf[-1]).tolist()
+    return lambda rng: values[bisect.bisect_right(cdf, rng.random())]
 
 
 def _parse_dist(node, name: str) -> tuple[list[int], list[float]]:

@@ -183,7 +183,8 @@ def solve_exact(field: Field, a: np.ndarray, rhs: np.ndarray) -> SolveOutcome:
     if r < cols:
         return SolveOutcome(SolveStatus.MULTIPLE)
     x = basis[:, cols:]
-    if np.any(field.sub(field.matmul(work[lead:, :cols], x), work[lead:, cols:])):
+    if lead < rows and np.any(field.sub(field.matmul(work[lead:, :cols], x),
+                                        work[lead:, cols:])):
         return SolveOutcome(SolveStatus.NO_SOLUTION)
     return SolveOutcome(SolveStatus.UNIQUE, x[:, 0] if vec else x)
 

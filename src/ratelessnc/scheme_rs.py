@@ -30,6 +30,8 @@ The decoder builds and solves only that system's leading rows, the ones
 the solver reads, from only the parity rows those rows use, evaluated at
 their points, and accepts a solution only if it passes a check of every
 block equation, which evaluates every parity point once to form D w.
+D w, there and in the encoder's suffixes, is formed by baby and giant
+steps, so no power of a point past the ceil(sqrt(n b))-th is evaluated.
 Nothing is kept of D, and the dense matrix B is built only by
 ``dense_key_equation``, the oracle behind ``validate`` and the tests.
 Positional bookkeeping of the dummy padding is the delicate part: the same
@@ -40,6 +42,7 @@ of suffix unknowns into parity rows and the ground-truth layout of
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -143,8 +146,20 @@ class SharedSecret:
 
 def _parity_times(field: Field, points: np.ndarray, w_vec: np.ndarray) -> np.ndarray:
     """D w for the parity rows at ``points`` (entry (i, j) = points[i]^(j+1)),
-    D evaluated for this product only."""
-    return field.matmul(w_vec[None, :], linalg.vandermonde(field, points, w_vec.size))[0]
+    by baby and giant steps: with s = ceil(sqrt(len(w))) and w cut into
+    rows of s, one product with the s baby rows p^1 .. p^s gives each
+    row's sum, and Horner steps in p^s add them up.  No power past p^s is
+    evaluated, so the largest temporary is s x len(points)."""
+    s = math.isqrt(w_vec.size - 1) + 1
+    giant_rows = -(-w_vec.size // s)
+    blocks = np.zeros(giant_rows * s, dtype=np.int64)
+    blocks[: w_vec.size] = w_vec
+    baby = linalg.vandermonde(field, points, s)
+    sums = field.matmul(blocks.reshape(giant_rows, s), baby)
+    acc = sums[-1]
+    for row in sums[-2::-1]:
+        acc = field.add(field.mul(acc, baby[-1]), row)
+    return acc
 
 
 def rs_make_suffix(field: Field, w_vec: np.ndarray, secret: SharedSecret,
@@ -211,7 +226,7 @@ class RsEncoder:
         f = self.field
         self.suffixes.append(rs_make_suffix(f, self.w_vec, self.secret, i))
         k_mat = f.sample(rng, (c_i, self.params.b))
-        x_i = f.matmul(k_mat, self.msg.x0)
+        x_i = self.msg.combine(f, k_mat)
         staircase = assemble_staircase(self.params, self.suffixes)
         g_mat = f.sample(rng, (cbar_i, i * self.params.sigma))
         a_i = f.matmul(g_mat, staircase)

@@ -8,6 +8,14 @@ sink keeps the reduced row echelon form of everything received so far and
 tries to express the message as a combination of those rows that is
 consistent with every hash; it decodes once that combination pins down a
 single candidate.
+
+No product multiplies an identity block: (W | I) times D is W D[:n] plus
+D[n:], K (W | I) is (K W | K), and a reduced echelon form R times D is
+D at R's pivot rows plus R's free columns times D at the rest.  The sink
+solves for the combination on as many hash points as it has unknowns,
+plus one, and checks the one candidate that gives at every other point
+with a single b-row product, so a decode costs products in the size of
+the message rather than of everything received.
 """
 
 from __future__ import annotations
@@ -42,6 +50,10 @@ class SourceMessage:
             raise ValueError(f"packet length n+b={n+b} must be below the field order {field.q}")
         return cls.from_w(field.sample(rng, (b, n)))
 
+    def combine(self, field: Field, k: np.ndarray) -> np.ndarray:
+        """Packets K (W | I) = (K W | K)."""
+        return np.hstack([field.matmul(k, self.w), k])
+
     @property
     def b(self) -> int:
         return self.w.shape[0]
@@ -54,7 +66,7 @@ class SourceMessage:
 @dataclass
 class SecretStagePayload:
     """One stage's side-channel content: evaluation points and the hash
-    columns H = X0 @ vandermonde(points)."""
+    columns H = X0 @ vandermonde(points), formed as W D[:n] + D[n:]."""
 
     points: np.ndarray
     hashes: np.ndarray
@@ -65,32 +77,45 @@ class SecretStagePayload:
         return self.points.size * (1 + self.hashes.shape[0])
 
 
+def _times_x0(field: Field, w: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """(W | I) D = W D[:n] + D[n:]."""
+    n = w.shape[1]
+    return field.add(field.matmul(w, d[:n]), d[n:])
+
+
 def sc_encode_stage(field: Field, msg: SourceMessage, stage: int, c_i: int,
                     rng: np.random.Generator) -> tuple[np.ndarray, SecretStagePayload]:
-    """Encode stage >= 1: X_i = K_i @ X0 with K_i uniform c_i x b, plus the
-    stage hash.  Stage 1 carries one extra evaluation point."""
+    """Encode stage >= 1: X_i = K_i @ X0 = (K_i W | K_i) with K_i uniform
+    c_i x b, plus the stage hash.  Stage 1 carries one extra evaluation
+    point."""
     if stage < 1 or c_i < 1:
         raise ValueError("stage and c_i must be >= 1")
     b = msg.b
     k = field.sample(rng, (c_i, b))
-    x_i = field.matmul(k, msg.x0)
+    x_i = msg.combine(field, k)
     n_points = b * c_i + (1 if stage == 1 else 0)
     points = field.sample(rng, n_points)
-    d = linalg.vandermonde(field, points, msg.n + b)
-    hashes = field.matmul(msg.x0, d)
+    hashes = _times_x0(field, msg.w, linalg.vandermonde(field, points, msg.n + b))
     return x_i, SecretStagePayload(points=points, hashes=hashes)
 
 
 class SinkStateSC:
     """Accumulated observations and hashes, with the hash check kept in the
-    size of its unknowns.
+    size of the message.
 
     The decode system is S (Y D) = H for the combination matrix S.  Only
     S Y matters, and it depends on the row space of Y alone, so the sink
     keeps the reduced row echelon form R of every row received so far,
     grown with ``linalg.extend_rref`` as the random-secret sink grows its
-    bases.  Once R has b rows it forms G = R D and solves S' G = H, in
-    dimension rank(Y), with ``linalg.solve_exact``; the message is S' R.
+    bases.  Once R has b rows it solves S' G = H for G = R D, in dimension
+    rank(Y), with ``linalg.solve_exact``; the message is S' R.
+
+    G is formed only at the leading min(rank + 1, P) of the P hash points,
+    the block ``solve_exact`` eliminates first.  A unique S' there is the
+    only candidate, so one b-row product checks X = S' R against H at
+    every other point; a consistent block of rank below rank(Y) re-solves
+    on G over every point.  Status and message are those of the solve over
+    all of G.
     """
 
     def __init__(self, field: Field, b: int, n: int):
@@ -116,18 +141,47 @@ class SinkStateSC:
         self.h = np.hstack([self.h, secret.hashes])
 
     def try_decode(self) -> DecodeResult:
-        if len(self._piv) < self.b:
+        piv = self._piv
+        if len(piv) < self.b:
             return DecodeResult(Decode.NEED_MORE)
         f = self.field
-        out = linalg.solve_exact(f, f.matmul(self._rref, self.d).T, self.h.T)
+        n, points = self.n, self.d.shape[1]
+        # R's pivot columns are an identity: R D = D[piv] + R[:, free] D[free]
+        free = np.ones(n + self.b, dtype=bool)
+        free[piv] = False
+        r_free = self._rref[:, free]
+
+        def solve(lead):
+            g = f.add(self.d[piv, :lead], f.matmul(r_free, self.d[free, :lead]))
+            return linalg.solve_exact(f, g.T, self.h[:, :lead].T)
+
+        lead = min(len(piv) + 1, points)
+        out = solve(lead)
+        if out.status is SolveStatus.MULTIPLE and lead < points:
+            lead = points
+            out = solve(lead)
         if out.status is not SolveStatus.UNIQUE:
             return unsolved(out.status)
-        return _accept(f.matmul(out.solution.T, self._rref), self.n)
+        s = out.solution.T
+        x_hat = linalg.zeros(self.b, n + self.b)
+        x_hat[:, piv] = s
+        x_hat[:, free] = f.matmul(s, r_free)
+        if lead < points:  # the one candidate, checked at the other points
+            rest = self.d[:, lead:]
+            got = (_times_x0(f, x_hat[:, :n], rest) if _carries_identity(x_hat, n)
+                   else f.matmul(x_hat, rest))
+            if not np.array_equal(got, self.h[:, lead:]):
+                return unsolved(SolveStatus.NO_SOLUTION)
+        return _accept(x_hat, n)
+
+
+def _carries_identity(x0_hat: np.ndarray, n: int) -> bool:
+    return np.array_equal(x0_hat[:, n:], linalg.eye(x0_hat.shape[0]))
 
 
 def _accept(x0_hat: np.ndarray, n: int) -> DecodeResult:
     """Decode only when the recovered packets carry the (W | I) identity."""
-    if not np.array_equal(x0_hat[:, n:], linalg.eye(x0_hat.shape[0])):
+    if not _carries_identity(x0_hat, n):
         return DecodeResult(Decode.FAILURE)
     return DecodeResult(Decode.DECODED, w=x0_hat[:, :n])
 

@@ -178,6 +178,49 @@ def test_reducible_polynomial_rejected():
         GF2Field(4, poly=0b10001)
 
 
+def test_non_primitive_polynomial_rejected():
+    # x^4 + x^3 + x^2 + x + 1 is irreducible, but x has order 5 modulo it
+    with pytest.raises(ValueError, match="primitive"):
+        GF2Field(4, poly=0b11111)
+
+
+def _tables_by_loop(w, poly):
+    """The log/antilog tables stepped one power of x at a time."""
+    q = 1 << w
+    exp = np.zeros(4 * q + 1, dtype=np.int64)
+    log = np.zeros(q, dtype=np.int64)
+    x = 1
+    for i in range(q - 1):
+        exp[i] = x
+        log[x] = i
+        x <<= 1
+        if x & q:
+            x ^= poly
+    assert x == 1
+    exp[q - 1: 2 * (q - 1)] = exp[: q - 1]
+    log[0] = 2 * q
+    return exp, log
+
+
+@pytest.mark.parametrize("w", range(2, 17))
+def test_tables_equal_loop_reference(w):
+    f = GF2Field(w)
+    exp, log = _tables_by_loop(w, f.poly)
+    assert f._exp.dtype == np.uint16
+    assert np.array_equal(f._exp, exp) and np.array_equal(f._log, log)
+
+
+@pytest.mark.parametrize("name", ["gf2_4", "gf2_16"])
+def test_gf2_results_are_int64(name):
+    # the table is uint16; what the arithmetic hands back is int64
+    f = get_field(name)
+    a = f.sample(np.random.default_rng(3), (3, 4))
+    a[0, 0] = 0
+    for out in (f.mul(a, a), f.inv(a[1:] | 1), f.pow_int(a, 3), f.matmul(a, a.T),
+                f.mul(3, 5), f.inv(7)):
+        assert np.asarray(out).dtype == np.int64
+
+
 def test_prime_field_rejects_composite():
     with pytest.raises(ValueError):
         PrimeField(65520)
@@ -193,12 +236,9 @@ def test_named_fields():
 
 
 def _matmul_per_entry(f, a, b):
-    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
-    for i in range(a.shape[0]):
-        for j in range(b.shape[1]):
-            for t in range(a.shape[1]):
-                out[i, j] ^= int(f.mul(a[i, t], b[t, j]))
-    return out
+    # entry (i, j) is the XOR over t of the elementwise products a[i, t] b[t, j]
+    products = f.mul(a[:, :, None], b[None, :, :])
+    return np.bitwise_xor.reduce(products, axis=1, initial=0)
 
 
 @pytest.mark.parametrize("name", ["gf2_4", "gf2_16"])
@@ -211,14 +251,26 @@ def _matmul_per_entry(f, a, b):
     (4, 1, 5),   # k = 1
     (1, 3, 7),
     (7, 3, 1),
-    (32, 16, 32),   # m*k*n = 2^14: the largest single-gather product
+    (32, 16, 32),   # m*k*n = 2^14
     (5, 29, 113),   # m*k*n = 2^14 + 1, each axis shortest in turn
     (113, 29, 5),
     (29, 5, 113),
-    # slabs of 256 lines whose last slab is one line
-    (257, 2, 64),   # k shortest, rows cut
-    (2, 64, 257),   # m shortest, columns cut
-    (513, 64, 1),   # a tall mat-vec, rows cut
+    (257, 2, 64),
+    (2, 64, 257),
+    (513, 64, 1),
+    (64, 16, 64),   # m*k*n = 2^16: the largest single-gather product
+    (1, 1, 65537),  # m*k*n = 2^16 + 1 (a prime): a line cut after 2^16 entries
+    (65537, 1, 1),
+    (1, 65537, 1),  # one inner line longer than a slab
+    (17, 61, 64),   # m*k*n = 2^16 + 832, each axis shortest in turn
+    (64, 61, 17),
+    (61, 17, 64),
+    # slabs of 1024 (2048) lines whose last slab is one line
+    (1025, 2, 64),  # k shortest, rows cut
+    (2, 64, 1025),  # m shortest, columns cut
+    (2049, 32, 1),  # a tall mat-vec, rows cut after 2048
+    (0, 3, 4),      # no rows
+    (4, 3, 0),      # no columns
 ])
 def test_gf2_matmul_matches_per_entry_sums(name, shape):
     # whichever axis the product loops over, it is the XOR of the entry products
@@ -226,7 +278,7 @@ def test_gf2_matmul_matches_per_entry_sums(name, shape):
     m, k, n = shape
     rng = np.random.default_rng([41, m, k, n, f.q])
     a, b = f.sample(rng, (m, k)), f.sample(rng, (k, n))
-    a[0, : k // 2] = 0  # zeros exercise the tables' zero tail
+    a[:1, : k // 2] = 0  # zeros exercise the tables' zero tail
     out = f.matmul(a, b)
     assert out.dtype == np.int64
     assert np.array_equal(out, _matmul_per_entry(f, a, b))

@@ -12,7 +12,9 @@ from ratelessnc.channel import AdversaryStrategy, MatrixChannel, StageParams
 from ratelessnc.field import get_field
 from ratelessnc.harness import (
     ConfigError,
+    IidStageModel,
     Summary,
+    _sampler,
     build_config,
     emit_outputs,
     format_trial_row,
@@ -160,6 +162,36 @@ def test_hypergraph_config_validation(tmp_path):
 
 
 # -- running ------------------------------------------------------------------
+
+@pytest.mark.parametrize("values,probs", [
+    ([3, 4, 5], [1 / 3] * 3),
+    ([0, 1], [0.5, 0.5]),
+    ([1, 2, 3, 7], [0.1, 0.0, 0.6, 0.3]),
+    ([1, 2, 3], [0.25, 0.75, 0.0]),
+    ([2, 9], [0.0, 1.0]),
+    ([5], [1.0]),
+])
+def test_stage_draws_equal_rng_choice(values, probs):
+    # one draw is what rng.choice(values, p=probs) draws from the same
+    # generator state, zero-probability values included
+    draw = _sampler(values, probs)
+    rng, ref = np.random.default_rng(17), np.random.default_rng(17)
+    assert [draw(rng) for _ in range(5000)] == [int(ref.choice(values, p=probs))
+                                               for _ in range(5000)]
+    assert rng.random() == ref.random()
+
+
+def test_iid_stage_model_draws_equal_rng_choice():
+    model = IidStageModel(m_values=[2, 3, 4], m_probs=[0.2, 0.0, 0.8], z_values=[0, 1],
+                          z_probs=[0.5, 0.5], c_values=[4, 5, 6], c_probs=[0.3, 0.7, 0.0],
+                          cbar=6)
+    rng, ref = np.random.default_rng(18), np.random.default_rng(18)
+    for params in itertools.islice(model.iterate(rng), 2000):
+        expect = [int(ref.choice(model.m_values, p=model.m_probs)),
+                  int(ref.choice(model.z_values, p=model.z_probs)),
+                  int(ref.choice(model.c_values, p=model.c_probs))]
+        assert [params.M, params.z, params.c] == expect
+
 
 def test_fixed_schedule_decodes_at_cutset():
     # M = 5, z = 1, b = 8: cut set first holds at stage 2

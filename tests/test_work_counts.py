@@ -3,25 +3,34 @@
 Each sink keeps its observations in reduced row echelon form, so a stage
 costs elimination in proportion to its new rows.  The random-secret sink
 reads the key equation's column bases off those forms at no elimination
-cost; the secret-channel sink forms its hash-check product only when it
+cost; the secret-channel sink forms its hash-check products only when it
 has enough rank to decode.  Counting the pivots of every Gauss-Jordan
 pass, and the products, on one seeded benchmark session per scheme pins
 that down exactly, where a timing could not: a slide back into
 re-eliminating what was kept fails here.  So does a slide back into pivots
 made of elementwise field calls, which the elimination kernel does without.
 The random-secret code keeps its secret as symbols and evaluates parity
-rows at their points only where it reads them; counting the points of
-every evaluation, and looking for an n*b-column array left behind, pins
-that down too.
+rows at their points only where it reads them, and forms D w by baby and
+giant steps, never evaluating a power past p^ceil(sqrt(n b)); counting
+the points and rows of every evaluation, and looking for an n*b-column
+array left behind, pins that down too.  The secret-channel decoder forms
+R D only at the leading rank + 1 hash points and checks its one candidate
+at the rest with a b-row product; the events of every decode are matched
+against that plan, on the benchmark session and, with the dense oracle
+checking every verdict, on small fields where each of its branches occurs.
 """
 
+import math
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from ratelessnc import linalg, scheme_rs, scheme_sc
 from ratelessnc.field import get_field
-from ratelessnc.harness import load_config, run_experiment
+from ratelessnc.harness import build_config, load_config, run_experiment
+from ratelessnc.linalg import SolveStatus
+from ratelessnc.records import Decode
 
 CONFIGS = Path(__file__).resolve().parents[1] / "bench" / "configs"
 CONFIG = CONFIGS / "rs-long-b8.yaml"
@@ -89,11 +98,13 @@ def test_rs_parity_rows_evaluated_only_where_read(monkeypatch):
     p = cfg.rs_params
     where = ["encoder"]         # the innermost watched call open now
     events = []                 # (where, "call", args) / (where, "points" or "rows", count)
+    heights = []                # (where, rows) of every Vandermonde evaluation
     real_vandermonde = linalg.vandermonde
     real_solve = linalg.solve_exact
 
     def vandermonde(field, points, num_rows):
         events.append((where[-1], "points", np.size(points)))
+        heights.append((where[-1], num_rows))
         return real_vandermonde(field, points, num_rows)
 
     def solve_exact(field, a, rhs):
@@ -121,6 +132,13 @@ def test_rs_parity_rows_evaluated_only_where_read(monkeypatch):
 
     # the encoder evaluates each stage's own points once, for l_k = h_k - D_k w
     assert [n for at, kind, n in events if at == "encoder"] == [p.alpha(k) for k in range(1, 9)]
+    # D w is formed by baby and giant steps: no power past p^s is evaluated
+    # for s = ceil(sqrt(n b)); only the decoder's solve rows, which hold
+    # each parity row whole, are n b rows tall
+    s = math.isqrt(p.n * p.b - 1) + 1
+    assert all(rows <= s for at, rows in heights if at != "try_decode"), heights
+    assert all(rows == p.n * p.b for at, rows in heights if at == "try_decode"), heights
+    assert {at for at, _ in heights} == {"encoder", "try_decode", "_blocks_hold"}
     # building the key equation evaluates nothing: it carries the points
     builds = [args for at, kind, args in events if (at, kind) == ("build_key_equation", "call")]
     assert len(builds) == 8
@@ -171,49 +189,105 @@ def test_rs_parity_rows_evaluated_only_where_read(monkeypatch):
     assert not [s for s in shapes if len(s) == 2 and s[1] == p.n * p.b], shapes
 
 
+def watch_sc_decodes(monkeypatch, field):
+    """Record, per ``SinkStateSC.try_decode`` call, [pivots, hash points,
+    events, verdict]: the events are ("product", (m, k, n)) for each
+    ``field.matmul`` the decode makes itself and ("solve", rows, status)
+    for each ``linalg.solve_exact``, whose own products are not listed."""
+    decodes = []
+    state = {"open": False, "solving": 0}
+    real_matmul = field.matmul
+    real_solve = linalg.solve_exact
+    real_try_decode = scheme_sc.SinkStateSC.try_decode
+
+    def matmul(a, b):
+        if state["open"] and not state["solving"]:
+            decodes[-1][2].append(("product", np.shape(a) + np.shape(b)[1:]))
+        return real_matmul(a, b)
+
+    def solve_exact(f, a, rhs):
+        state["solving"] += 1
+        try:
+            out = real_solve(f, a, rhs)
+        finally:
+            state["solving"] -= 1
+        if state["open"]:
+            decodes[-1][2].append(("solve", a.shape[0], out.status))
+        return out
+
+    def try_decode(sink):
+        decodes.append([len(sink._piv), sink.d.shape[1], []])
+        state["open"] = True
+        try:
+            result = real_try_decode(sink)
+        finally:
+            state["open"] = False
+        decodes[-1].append(result.status)
+        return result
+
+    monkeypatch.setitem(vars(field), "matmul", matmul)
+    monkeypatch.setattr(linalg, "solve_exact", solve_exact)
+    monkeypatch.setattr(scheme_sc.SinkStateSC, "try_decode", try_decode)
+    return decodes
+
+
+def sc_decode_steps(b, n, pivots, points, events):
+    """Check one decode's events against the leading-points plan and name
+    its steps: the first product forms R D at the leading min(pivots + 1,
+    points) hash points, skipping R's identity columns, for the first
+    solve; only a MULTIPLE there, with points left, forms R D at every
+    point for a second; a unique solution S' gives the candidate S' R
+    with one b-row product off R's free columns, and one more b-row
+    product checks it at the remaining points, over the message columns
+    alone when it carries the identity."""
+    free = n + b - pivots
+    lead = min(pivots + 1, points)
+    steps = []
+    assert events[:2] == [("product", (pivots, free, lead)), ("solve", lead, events[1][2])]
+    status, rest = events[1][2], events[2:]
+    if status is SolveStatus.MULTIPLE and lead < points:
+        assert rest[:2] == [("product", (pivots, free, points)), ("solve", points, rest[1][2])]
+        steps.append("fallback")
+        lead, status, rest = points, rest[1][2], rest[2:]
+    if status is not SolveStatus.UNIQUE:
+        assert rest == []
+        return steps
+    assert rest[0] == ("product", (b, pivots, free))
+    if lead < points:
+        width = rest[1][1][1]
+        assert rest[1:] == [("product", (b, width, points - lead))] and width in (n, n + b)
+        steps.append("check" if width == n else "check without identity")
+    else:
+        assert rest == [rest[0]]
+    return steps
+
+
 def test_sc_sink_eliminates_only_new_rows(monkeypatch):
     cfg = load_config(CONFIGS / "sc-rate-b16.yaml", {"seed": 1})
     field = get_field(cfg.field_name)
-    ingests, decodes = [], []   # [new rows, pivots, rows of each pass]; [pivots, R D products]
-    current = []                # the sink call open now, if any
+    ingests = []                # [new rows, pivots, rows of each pass]
+    current = []                # the ingest open now, if any
     real_gauss_jordan = linalg._gauss_jordan
-    real_matmul = field.matmul
     real_ingest = scheme_sc.SinkStateSC.ingest
-    real_try_decode = scheme_sc.SinkStateSC.try_decode
 
     def gauss_jordan(f, work, pivot_limit):
         pivots = real_gauss_jordan(f, work, pivot_limit)
-        if current and current[0] is ingests:
+        if current:
             ingests[-1][1] += len(pivots)
             ingests[-1][2].append(work.shape[0])
         return pivots
 
-    def matmul(a, b):
-        sink = current[1] if current else None
-        if sink is not None and current[0] is decodes and a is sink._rref and b is sink.d:
-            decodes[-1][1] += 1
-        return real_matmul(a, b)
-
     def ingest(sink, y_i, secret):
         ingests.append([y_i.shape[0], 0, []])
-        current[:] = [ingests, sink]
+        current.append(sink)
         try:
             return real_ingest(sink, y_i, secret)
         finally:
             current.clear()
 
-    def try_decode(sink):
-        decodes.append([len(sink._piv), 0])
-        current[:] = [decodes, sink]
-        try:
-            return real_try_decode(sink)
-        finally:
-            current.clear()
-
     monkeypatch.setattr(linalg, "_gauss_jordan", gauss_jordan)
-    monkeypatch.setitem(vars(field), "matmul", matmul)
     monkeypatch.setattr(scheme_sc.SinkStateSC, "ingest", ingest)
-    monkeypatch.setattr(scheme_sc.SinkStateSC, "try_decode", try_decode)
+    decodes = watch_sc_decodes(monkeypatch, field)
 
     records, _ = run_experiment(cfg)
     assert all(r.outcome == "decoded" and r.correct for r in records)
@@ -221,9 +295,56 @@ def test_sc_sink_eliminates_only_new_rows(monkeypatch):
     # each ingest eliminates its new rows alone, taking at most one pivot each
     assert all(pivots <= rows for rows, pivots, _ in ingests), ingests
     assert all(passes == [rows] for rows, _, passes in ingests), ingests
-    # each decode forms R D once, and only with b pivots to decode from
-    assert all(products == (pivots >= cfg.b) for pivots, products in decodes), decodes
-    assert {pivots >= cfg.b for pivots, _ in decodes} == {False, True}
+    # no product below b pivots; with b, R D is formed at the leading
+    # pivots + 1 hash points, not at every point, and the candidate is
+    # checked at the others with one b-row product
+    steps = []
+    for pivots, points, events, _ in decodes:
+        if pivots < cfg.b:
+            assert events == []
+        else:
+            steps += sc_decode_steps(cfg.b, cfg.n, pivots, points, events)
+    assert {pivots >= cfg.b for pivots, *_ in decodes} == {False, True}
+    assert steps.count("check") == len(records)  # the decoded candidates'
+    assert any(points > pivots + 1 for pivots, points, *_ in decodes if pivots >= cfg.b)
+
+
+@pytest.mark.parametrize("field_name", ["prime7", "gf2_4"])
+def test_sc_decode_branches_agree_with_dense_oracle(monkeypatch, field_name):
+    # small fields make ambiguous leading blocks, candidates that the
+    # remaining points reject and candidates without the identity common;
+    # validate mode checks every decode against the dense solve over all
+    # of Y, so each branch of the leading-points plan is shown to give the
+    # full solve's verdict
+    cfg = build_config({
+        "scheme": "secret-channel", "field": field_name, "b": 2, "n": 3, "trials": 400,
+        "seed": 3, "stage_cap": 8, "adversary": "uniform-random", "validate": True,
+        "stages": {"kind": "iid", "M": {"values": [2, 3]}, "z": {"values": [0, 1]},
+                   "cbar": 3},
+    })
+    decodes = watch_sc_decodes(monkeypatch, get_field(field_name))
+    oracle_calls = []
+    real_dense = scheme_sc._dense_decode
+
+    def dense_decode(sink, y):
+        oracle_calls.append(len(decodes))
+        return real_dense(sink, y)
+
+    monkeypatch.setattr(scheme_sc, "_dense_decode", dense_decode)
+    records, _ = run_experiment(cfg)
+    assert oracle_calls == list(range(1, len(decodes) + 1))
+    assert {r.outcome for r in records} == {"decoded", "failure"}
+    steps = []
+    for pivots, points, events, verdict in decodes:
+        if pivots < cfg.b:
+            assert events == []
+            continue
+        taken = sc_decode_steps(cfg.b, cfg.n, pivots, points, events)
+        if taken and taken[-1].startswith("check") and verdict is Decode.NEED_MORE:
+            taken.append("rejected at the remaining points")
+        steps += taken
+    assert {"fallback", "check", "check without identity",
+            "rejected at the remaining points"} <= set(steps)
 
 
 def test_elimination_makes_no_elementwise_field_calls(monkeypatch):
