@@ -467,11 +467,14 @@ class RsSinkState:
 
 
 def _blocks_hold(f: Field, ke: KeyEquation, x_a, x_b, l_a, l_b) -> bool:
-    """The three block equations of B v = rhs for v = (X_a, X_b, L_a, L_b):
-    D x + l = h, t_hat (X_b - X_a F_z) = t_hat F_x, and
-    t_bar_hat (L_b - L_a F_e) = t_bar_hat F_a with the dummy slots zero.
-    D x is formed as D vec(W), x put back in vec(W) order, with D evaluated
-    at every parity point for this product only."""
+    """The block equations of B v = rhs for v = (X_a, X_b, L_a, L_b) that
+    the candidate does not meet by construction: the dummy slots are zero
+    and D x + l = h.  The other two, t_hat (X_b - X_a F_z) = t_hat F_x and
+    t_bar_hat (L_b - L_a F_e) = t_bar_hat F_a, hold for every candidate
+    ``try_decode`` forms, since it sets X_b = X_a F_z + F_x and
+    L_b = L_a F_e + F_a, so they are not checked.  D x is formed as
+    D vec(W), x put back in vec(W) order, with D evaluated at every parity
+    point for this product only."""
     l_slots = np.concatenate([linalg.vectorize(l_a), linalg.vectorize(l_b)])
     if np.any(l_slots[~ke.kept_mask]):
         return False
@@ -479,11 +482,7 @@ def _blocks_hold(f: Field, ke: KeyEquation, x_a, x_b, l_a, l_b) -> bool:
     l_sfx[ke.l_kept_idx] = l_slots[ke.kept_mask]
     w_vec = np.empty(ke.xperm.size, dtype=np.int64)
     w_vec[ke.xperm] = linalg.vectorize(np.hstack([x_a, x_b]))
-    return (np.array_equal(f.add(_parity_times(f, ke.points, w_vec), l_sfx), ke.targets)
-            and np.array_equal(f.matmul(ke.t_hat, f.sub(x_b, f.matmul(x_a, ke.f_z))),
-                               f.matmul(ke.t_hat, ke.f_x))
-            and np.array_equal(f.matmul(ke.t_bar_hat, f.sub(l_b, f.matmul(l_a, ke.f_e))),
-                               f.matmul(ke.t_bar_hat, ke.f_a)))
+    return np.array_equal(f.add(_parity_times(f, ke.points, w_vec), l_sfx), ke.targets)
 
 
 def dense_key_equation(ke: KeyEquation, secret: SharedSecret) -> tuple[np.ndarray, np.ndarray]:

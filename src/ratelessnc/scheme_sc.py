@@ -12,10 +12,23 @@ single candidate.
 No product multiplies an identity block: (W | I) times D is W D[:n] plus
 D[n:], K (W | I) is (K W | K), and a reduced echelon form R times D is
 D at R's pivot rows plus R's free columns times D at the rest.  The sink
-solves for the combination on as many hash points as it has unknowns,
-plus one, and checks the one candidate that gives at every other point
-with a single b-row product, so a decode costs products in the size of
-the message rather than of everything received.
+keeps the hash as symbols, its points and hash columns, and evaluates D
+only at the points it reads.
+
+A decode reads at most rank + 1 + n + b hash points, however many it has
+received.  The secret channel delivers H = X0 D honestly (the paper's
+model), so a candidate X agrees with H at a point p exactly where
+(X - X0) d(p) = 0, and row by row that difference is p Q(p) for a
+polynomial Q of degree below n + b, below n when X carries X0's identity
+columns.  A nonzero Q has fewer roots than that bound, so once X agrees
+with H at n (n + b) distinct nonzero points, Q is zero: X = X0, and X
+agrees with H everywhere.  A zero point or a repeated one adds no
+equation.  So the sink solves for
+the combination on as many hash points as it has unknowns, plus one, and
+checks the one candidate that gives only at the following distinct
+nonzero points, until n (n + b) such points are read; when the leading
+points leave it ambiguous, it re-solves on them plus the points up to
+n + b distinct nonzero ones, where D has full row rank.
 """
 
 from __future__ import annotations
@@ -100,29 +113,39 @@ def sc_encode_stage(field: Field, msg: SourceMessage, stage: int, c_i: int,
 
 
 class SinkStateSC:
-    """Accumulated observations and hashes, with the hash check kept in the
-    size of the message.
+    """Accumulated observations and hash symbols, with the hash check kept
+    in the size of the message.
 
     The decode system is S (Y D) = H for the combination matrix S.  Only
     S Y matters, and it depends on the row space of Y alone, so the sink
     keeps the reduced row echelon form R of every row received so far,
     grown with ``linalg.extend_rref`` as the random-secret sink grows its
     bases.  Once R has b rows it solves S' G = H for G = R D, in dimension
-    rank(Y), with ``linalg.solve_exact``; the message is S' R.
+    rank(Y), with ``linalg.solve_exact``; the message is S' R.  D is never
+    held: the sink keeps the evaluation points and hash columns and
+    evaluates D at the points a decode reads.
 
     G is formed only at the leading min(rank + 1, P) of the P hash points,
     the block ``solve_exact`` eliminates first.  A unique S' there is the
-    only candidate, so one b-row product checks X = S' R against H at
-    every other point; a consistent block of rank below rank(Y) re-solves
-    on G over every point.  Status and message are those of the solve over
-    all of G.
+    only candidate X = S' R, and it agrees with H at the leading points.
+    H = X0 D is delivered honestly, so X agrees with H at every point once
+    it agrees at n distinct nonzero points (n + b when X lacks the
+    identity): X - X0 evaluated at p is p Q(p) with Q of degree below that
+    bound, carrying identity columns equal to X0's.  One b-row product
+    checks X at the following distinct nonzero points only, until the
+    leading and the checked points hold that many; when fewer exist, it
+    checks all of them.  A consistent leading block of rank below
+    rank(Y) re-solves on the leading points plus the points up to n + b
+    distinct nonzero ones; there D has full row rank, or no point is left
+    out but a repeated or zero one, so that solve's verdict is final.
+    Status and message are those of the solve over every point.
     """
 
     def __init__(self, field: Field, b: int, n: int):
         self.field = field
         self.b = b
         self.n = n
-        self.d = linalg.zeros(n + b, 0)
+        self.points = np.zeros(0, dtype=np.int64)
         self.h = linalg.zeros(b, 0)
         self._rref, self._piv = linalg.zeros(0, n + b), []
 
@@ -131,13 +154,13 @@ class SinkStateSC:
         width = self.n + self.b
         if y_i.shape[1] != width:
             raise ValueError(f"observation width {y_i.shape[1]} != n+b = {width}")
-        if secret.hashes.shape != (self.b, secret.points.size):
+        if secret.points.ndim != 1 or secret.hashes.shape != (self.b, secret.points.size):
             raise ValueError("hash block does not match its evaluation points")
         f.check_range(y_i, "observation symbols")
         f.check_range(secret.points, "evaluation points")
         f.check_range(secret.hashes, "hash symbols")
         self._rref, self._piv = linalg.extend_rref(f, self._rref, self._piv, y_i)
-        self.d = np.hstack([self.d, linalg.vandermonde(f, secret.points, width)])
+        self.points = np.concatenate([self.points, secret.points])
         self.h = np.hstack([self.h, secret.hashes])
 
     def try_decode(self) -> DecodeResult:
@@ -145,34 +168,47 @@ class SinkStateSC:
         if len(piv) < self.b:
             return DecodeResult(Decode.NEED_MORE)
         f = self.field
-        n, points = self.n, self.d.shape[1]
+        b, n, points = self.b, self.n, self.points
         # R's pivot columns are an identity: R D = D[piv] + R[:, free] D[free]
-        free = np.ones(n + self.b, dtype=bool)
+        free = np.ones(n + b, dtype=bool)
         free[piv] = False
         r_free = self._rref[:, free]
 
-        def solve(lead):
-            g = f.add(self.d[piv, :lead], f.matmul(r_free, self.d[free, :lead]))
-            return linalg.solve_exact(f, g.T, self.h[:, :lead].T)
+        def solve(cols):
+            d = linalg.vandermonde(f, points[cols], n + b)
+            g = f.add(d[piv], f.matmul(r_free, d[free]))
+            return linalg.solve_exact(f, g.T, self.h[:, cols].T)
 
-        lead = min(len(piv) + 1, points)
-        out = solve(lead)
-        if out.status is SolveStatus.MULTIPLE and lead < points:
-            lead = points
-            out = solve(lead)
+        lead = min(len(piv) + 1, points.size)
+        out = solve(np.arange(lead))
+        fell_back = out.status is SolveStatus.MULTIPLE and lead < points.size
+        if fell_back:
+            out = solve(np.concatenate([np.arange(lead), _fresh_points(points, lead, n + b)]))
         if out.status is not SolveStatus.UNIQUE:
             return unsolved(out.status)
         s = out.solution.T
-        x_hat = linalg.zeros(self.b, n + self.b)
+        x_hat = linalg.zeros(b, n + b)
         x_hat[:, piv] = s
         x_hat[:, free] = f.matmul(s, r_free)
-        if lead < points:  # the one candidate, checked at the other points
-            rest = self.d[:, lead:]
-            got = (_times_x0(f, x_hat[:, :n], rest) if _carries_identity(x_hat, n)
-                   else f.matmul(x_hat, rest))
-            if not np.array_equal(got, self.h[:, lead:]):
-                return unsolved(SolveStatus.NO_SOLUTION)
+        if not fell_back:  # the one candidate, checked up to the degree bound
+            ident = _carries_identity(x_hat, n)
+            cols = _fresh_points(points, lead, n if ident else n + b)
+            if cols.size:
+                d = linalg.vandermonde(f, points[cols], n + b)
+                got = _times_x0(f, x_hat[:, :n], d) if ident else f.matmul(x_hat, d)
+                if not np.array_equal(got, self.h[:, cols]):
+                    return unsolved(SolveStatus.NO_SOLUTION)
         return _accept(x_hat, n)
+
+
+def _fresh_points(points: np.ndarray, lead: int, bound: int) -> np.ndarray:
+    """Indices past ``lead``, in order, of the first points that are
+    nonzero and not seen before, as many as bring the distinct nonzero
+    points read to ``bound`` (all of them when fewer exist)."""
+    values, first = np.unique(points, return_index=True)
+    first = first[values != 0]
+    seen = np.count_nonzero(first < lead)
+    return np.sort(first[first >= lead])[: max(bound - seen, 0)]
 
 
 def _carries_identity(x0_hat: np.ndarray, n: int) -> bool:
@@ -191,7 +227,8 @@ def _dense_decode(sink: SinkStateSC, y: np.ndarray) -> DecodeResult:
     f = sink.field
     if linalg.rank(f, y) < sink.b:
         return DecodeResult(Decode.NEED_MORE)
-    out = linalg.solve_in_row_space(f, y, sink.d, sink.h)
+    d = linalg.vandermonde(f, sink.points, sink.n + sink.b)
+    out = linalg.solve_in_row_space(f, y, d, sink.h)
     if out.status is not SolveStatus.UNIQUE:
         return unsolved(out.status)
     return _accept(f.matmul(out.solution, y), sink.n)

@@ -258,8 +258,8 @@ def test_sink_bases_equal_batch():
             ys.append(y_i)
             # the hash check's points and hashes are kept whole, in order
             points.append(payload.points)
-            ok &= np.array_equal(sc.d, vandermonde(f, np.concatenate(points), n + b))
-            ok &= np.array_equal(sc.h, f.matmul(msg.x0, sc.d))
+            ok &= np.array_equal(sc.points, np.concatenate(points))
+            ok &= np.array_equal(sc.h, f.matmul(msg.x0, vandermonde(f, sc.points, n + b)))
 
             long_x, short_x = enc.encode_stage(stage, 2, 2, rng)
             longs.append(_received(f, rng, long_x)[0])

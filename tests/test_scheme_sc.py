@@ -14,6 +14,7 @@ from ratelessnc.linalg import (
     rank,
     rref_with_transform,
     solve_in_row_space,
+    vandermonde,
     zeros,
 )
 from ratelessnc.records import Decode, DecodeResult
@@ -123,8 +124,8 @@ def test_ingest_stacking_sizes(gf16):
         sink.ingest(x_i, payload)  # direct ingest, no channel
         received.append(x_i)
         # the true message satisfies the accumulated hash identity
-        assert np.array_equal(f.matmul(msg.x0, sink.d), sink.h)
-    assert sink.d.shape[1] == (b * 3 + 1) + b * 2
+        assert np.array_equal(f.matmul(msg.x0, vandermonde(f, sink.points, n + b)), sink.h)
+    assert sink.points.shape == ((b * 3 + 1) + b * 2,)
     # the sink keeps only the b pivot rows of the reduced form of the
     # 3 + 2 received
     y = np.vstack(received)
@@ -236,7 +237,7 @@ def dense_expectation(f, sink, y):
     """Decode status and W from a dense solve over every received row y."""
     if rank(f, y) < sink.b:  # fewer than b independent rows: wait
         return Decode.NEED_MORE, None
-    oracle = solve_in_row_space(f, y, sink.d, sink.h)
+    oracle = solve_in_row_space(f, y, vandermonde(f, sink.points, sink.n + sink.b), sink.h)
     status = _ORACLE_STATUS[oracle.status]
     if status is not Decode.DECODED:
         return status, None
@@ -294,28 +295,43 @@ def test_validate_mode_checks_sink_against_dense_oracle(gf16, monkeypatch):
 
 @pytest.mark.parametrize("bad", [-1, 1 << 16])
 def test_ingest_rejects_out_of_range_symbols(gf16, bad):
-    # GF(2^16) tables would wrap -1 to 65535 silently; the sink refuses it
+    # GF(2^16) tables would wrap -1 to 65535 silently; the sink refuses it,
+    # and a malformed hash block, before it changes any state
     f = gf16
     msg = SourceMessage.random(f, 2, 6, np.random.default_rng(15))
-    x_i, payload = sc_encode_stage(f, msg, 1, 3, np.random.default_rng(16))
+    rng = np.random.default_rng(16)
+    x_i, payload = sc_encode_stage(f, msg, 1, 3, rng)
+    x_2, payload_2 = sc_encode_stage(f, msg, 2, 1, rng)
     sink = SinkStateSC(f, 2, 6)
-    y_bad = x_i.copy()
-    y_bad[2, 5] = bad
-    with pytest.raises(ValueError, match="observation symbols"):
-        sink.ingest(y_bad, payload)
-    with pytest.raises(ValueError, match="integer dtype"):
-        sink.ingest(x_i.astype(float), payload)
-    for field_name, label in (("points", "evaluation points"), ("hashes", "hash symbols")):
-        arr = getattr(payload, field_name).copy()
-        arr.flat[0] = bad
-        bad_payload = dataclasses.replace(payload, **{field_name: arr})
-        with pytest.raises(ValueError, match=label):
-            sink.ingest(x_i, bad_payload)
-    # nothing of a rejected stage is kept
-    assert sink.d.shape[1] == sink.h.shape[1] == sink._rref.shape[0] == len(sink._piv) == 0
-    sink.ingest(x_i, payload)
-    assert sink.d.shape[1] == payload.points.size
-    batch = rref_with_transform(f, x_i)
+
+    def state():
+        return sink._rref.copy(), list(sink._piv), sink.points.copy(), sink.h.copy()
+
+    # stages rejected by an empty sink, then by one holding a stage
+    for y, good in ((x_i, payload), (x_2, payload_2)):
+        before = state()
+        y_bad = y.copy()
+        y_bad[-1, 5] = bad
+        with pytest.raises(ValueError, match="observation symbols"):
+            sink.ingest(y_bad, good)
+        with pytest.raises(ValueError, match="integer dtype"):
+            sink.ingest(y.astype(float), good)
+        for field_name, label in (("points", "evaluation points"), ("hashes", "hash symbols")):
+            arr = getattr(good, field_name).copy()
+            arr.flat[0] = bad
+            bad_payload = dataclasses.replace(good, **{field_name: arr})
+            with pytest.raises(ValueError, match=label):
+                sink.ingest(y, bad_payload)
+        for bad_payload in (dataclasses.replace(good, points=good.points[None, :]),
+                            dataclasses.replace(good, points=good.points[:-1])):
+            with pytest.raises(ValueError, match="evaluation points"):
+                sink.ingest(y, bad_payload)
+        # nothing of a rejected stage is kept
+        assert all(np.array_equal(u, v) for u, v in zip(before, state()))
+        sink.ingest(y, good)
+    assert np.array_equal(sink.points, np.concatenate([payload.points, payload_2.points]))
+    assert np.array_equal(sink.h, np.hstack([payload.hashes, payload_2.hashes]))
+    batch = rref_with_transform(f, np.vstack([x_i, x_2]))
     assert np.array_equal(sink._rref, batch.reduced[: batch.rank])
     assert sink._piv == batch.pivot_cols
 

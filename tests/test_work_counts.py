@@ -13,11 +13,13 @@ The random-secret code keeps its secret as symbols and evaluates parity
 rows at their points only where it reads them, and forms D w by baby and
 giant steps, never evaluating a power past p^ceil(sqrt(n b)); counting
 the points and rows of every evaluation, and looking for an n*b-column
-array left behind, pins that down too.  The secret-channel decoder forms
-R D only at the leading rank + 1 hash points and checks its one candidate
-at the rest with a b-row product; the events of every decode are matched
-against that plan, on the benchmark session and, with the dense oracle
-checking every verdict, on small fields where each of its branches occurs.
+array left behind, pins that down too.  The secret-channel decoder keeps
+its hash as points and hash columns, forms R D only at the leading
+rank + 1 hash points and checks its one candidate with a b-row product at
+the following distinct nonzero points up to the degree bound, n or n + b;
+the events of every decode are matched against that plan, on the
+benchmark session and, with the dense oracle checking every verdict, on
+small fields where each of its branches occurs.
 """
 
 import math
@@ -191,13 +193,15 @@ def test_rs_parity_rows_evaluated_only_where_read(monkeypatch):
 
 def watch_sc_decodes(monkeypatch, field):
     """Record, per ``SinkStateSC.try_decode`` call, [pivots, hash points,
-    events, verdict]: the events are ("product", (m, k, n)) for each
-    ``field.matmul`` the decode makes itself and ("solve", rows, status)
-    for each ``linalg.solve_exact``, whose own products are not listed."""
+    events, verdict]: the events are ("evaluate", points) for each
+    ``linalg.vandermonde`` the decode makes, ("product", (m, k, n)) for each
+    ``field.matmul`` it makes itself and ("solve", rows, status) for each
+    ``linalg.solve_exact``, whose own products are not listed."""
     decodes = []
     state = {"open": False, "solving": 0}
     real_matmul = field.matmul
     real_solve = linalg.solve_exact
+    real_vandermonde = linalg.vandermonde
     real_try_decode = scheme_sc.SinkStateSC.try_decode
 
     def matmul(a, b):
@@ -215,8 +219,13 @@ def watch_sc_decodes(monkeypatch, field):
             decodes[-1][2].append(("solve", a.shape[0], out.status))
         return out
 
+    def vandermonde(f, points, num_rows):
+        if state["open"]:
+            decodes[-1][2].append(("evaluate", tuple(np.asarray(points).tolist())))
+        return real_vandermonde(f, points, num_rows)
+
     def try_decode(sink):
-        decodes.append([len(sink._piv), sink.d.shape[1], []])
+        decodes.append([len(sink._piv), sink.points.copy(), []])
         state["open"] = True
         try:
             result = real_try_decode(sink)
@@ -227,38 +236,81 @@ def watch_sc_decodes(monkeypatch, field):
 
     monkeypatch.setitem(vars(field), "matmul", matmul)
     monkeypatch.setattr(linalg, "solve_exact", solve_exact)
+    monkeypatch.setattr(linalg, "vandermonde", vandermonde)
     monkeypatch.setattr(scheme_sc.SinkStateSC, "try_decode", try_decode)
     return decodes
 
 
-def sc_decode_steps(b, n, pivots, points, events):
-    """Check one decode's events against the leading-points plan and name
-    its steps: the first product forms R D at the leading min(pivots + 1,
-    points) hash points, skipping R's identity columns, for the first
-    solve; only a MULTIPLE there, with points left, forms R D at every
-    point for a second; a unique solution S' gives the candidate S' R
-    with one b-row product off R's free columns, and one more b-row
-    product checks it at the remaining points, over the message columns
-    alone when it carries the identity."""
+def fresh_points(points, lead, bound):
+    """Loop reference for the points a decode reads past the leading ones:
+    the indices, in order, of the points that are nonzero and not seen
+    before, until ``bound`` distinct nonzero points are read; and whether
+    such points were left unread."""
+    seen = {p for p in points[:lead].tolist() if p}
+    picked = []
+    for j in range(lead, points.size):
+        p = int(points[j])
+        if p and p not in seen:
+            if len(seen) >= bound:
+                return picked, True
+            seen.add(p)
+            picked.append(j)
+    return picked, False
+
+
+def sc_decode_steps(b, n, pivots, points, events, verdict):
+    """Check one decode's events against the bounded-points plan and name
+    its steps.  The first product forms R D at the leading lead =
+    min(pivots + 1, P) hash points, skipping R's identity columns, for the
+    first solve.  Only a MULTIPLE there, with points left, forms R D for a
+    second solve at those points plus the following distinct nonzero ones
+    up to n + b in all.  A unique solution S' gives the candidate S' R with
+    one b-row product off R's free columns.  Unless the solve fell back,
+    one more b-row product checks it at the following distinct nonzero
+    points up to n of them in all, over the message columns alone, when it
+    carries the identity, and up to n + b over every column when not; no
+    check is made when the leading points already hold that many."""
     free = n + b - pivots
-    lead = min(pivots + 1, points)
+    lead = min(pivots + 1, points.size)
+
+    def forms_rd(cols):
+        return [("evaluate", tuple(points[cols].tolist())), ("product", (pivots, free, len(cols)))]
+
+    cols = list(range(lead))
+    assert events[:2] == forms_rd(cols) and events[2][:2] == ("solve", lead)
+    status, rest = events[2][2], events[3:]
     steps = []
-    assert events[:2] == [("product", (pivots, free, lead)), ("solve", lead, events[1][2])]
-    status, rest = events[1][2], events[2:]
-    if status is SolveStatus.MULTIPLE and lead < points:
-        assert rest[:2] == [("product", (pivots, free, points)), ("solve", points, rest[1][2])]
-        steps.append("fallback")
-        lead, status, rest = points, rest[1][2], rest[2:]
+    if status is SolveStatus.MULTIPLE and lead < points.size:
+        cols += fresh_points(points, lead, n + b)[0]
+        assert rest[:2] == forms_rd(cols) and rest[2][:2] == ("solve", len(cols))
+        steps.append("bounded fallback" if len(cols) < points.size else "fallback")
+        status, rest = rest[2][2], rest[3:]
     if status is not SolveStatus.UNIQUE:
         assert rest == []
         return steps
     assert rest[0] == ("product", (b, pivots, free))
-    if lead < points:
-        width = rest[1][1][1]
-        assert rest[1:] == [("product", (b, width, points - lead))] and width in (n, n + b)
-        steps.append("check" if width == n else "check without identity")
-    else:
-        assert rest == [rest[0]]
+    rest = rest[1:]
+    if steps:
+        assert rest == []
+        return steps
+    if not rest:
+        # the leading points decide: the verdict shows whether the
+        # candidate carries the identity
+        assert verdict in (Decode.DECODED, Decode.FAILURE)
+        bound = n if verdict is Decode.DECODED else n + b
+        assert fresh_points(points, lead, bound)[0] == []
+        return ["no check"]
+    assert len(rest) == 2 and rest[1][0] == "product", rest
+    width = rest[1][1][1]
+    assert width in (n, n + b), rest
+    picked, left = fresh_points(points, lead, n if width == n else n + b)
+    assert picked and rest == [("evaluate", tuple(points[picked].tolist())),
+                               ("product", (b, width, len(picked)))]
+    steps.append("check" if width == n else "check without identity")
+    if left:
+        steps.append("stopped at the bound")
+    elif len({p for p in points.tolist() if p}) < (n if width == n else n + b):
+        steps.append("every distinct nonzero point")
     return steps
 
 
@@ -267,6 +319,7 @@ def test_sc_sink_eliminates_only_new_rows(monkeypatch):
     field = get_field(cfg.field_name)
     ingests = []                # [new rows, pivots, rows of each pass]
     current = []                # the ingest open now, if any
+    sinks = []                  # each session's sink
     real_gauss_jordan = linalg._gauss_jordan
     real_ingest = scheme_sc.SinkStateSC.ingest
 
@@ -280,6 +333,8 @@ def test_sc_sink_eliminates_only_new_rows(monkeypatch):
     def ingest(sink, y_i, secret):
         ingests.append([y_i.shape[0], 0, []])
         current.append(sink)
+        if sink not in sinks:
+            sinks.append(sink)
         try:
             return real_ingest(sink, y_i, secret)
         finally:
@@ -297,25 +352,38 @@ def test_sc_sink_eliminates_only_new_rows(monkeypatch):
     assert all(passes == [rows] for rows, _, passes in ingests), ingests
     # no product below b pivots; with b, R D is formed at the leading
     # pivots + 1 hash points, not at every point, and the candidate is
-    # checked at the others with one b-row product
-    steps = []
-    for pivots, points, events, _ in decodes:
+    # checked with one b-row product at no more than n of the others
+    decoded = []                # the steps of each decode that decoded
+    for pivots, points, events, verdict in decodes:
         if pivots < cfg.b:
             assert events == []
-        else:
-            steps += sc_decode_steps(cfg.b, cfg.n, pivots, points, events)
+            continue
+        taken = sc_decode_steps(cfg.b, cfg.n, pivots, points, events, verdict)
+        read = sum(len(e[1]) for e in events if e[0] == "evaluate")
+        assert read <= pivots + 1 + cfg.n + cfg.b, (read, taken)
+        if verdict is Decode.DECODED:
+            decoded.append(taken)
     assert {pivots >= cfg.b for pivots, *_ in decodes} == {False, True}
-    assert steps.count("check") == len(records)  # the decoded candidates'
-    assert any(points > pivots + 1 for pivots, points, *_ in decodes if pivots >= cfg.b)
+    assert len(decoded) == len(records)
+    assert all(t[0] in ("check", "no check") for t in decoded), decoded
+    assert ["check", "stopped at the bound"] in decoded
+
+    # and no hash block is left behind: no array a sink holds is n + b
+    # rows by every hash point
+    assert len(sinks) == len(records)
+    for sink in sinks:
+        shapes = [a.shape for a in _held_arrays(sink, set())]
+        assert (cfg.b, sink.points.size) in shapes and sink.points.size > cfg.n + cfg.b
+        assert (cfg.n + cfg.b, sink.points.size) not in shapes, shapes
 
 
 @pytest.mark.parametrize("field_name", ["prime7", "gf2_4"])
 def test_sc_decode_branches_agree_with_dense_oracle(monkeypatch, field_name):
     # small fields make ambiguous leading blocks, candidates that the
-    # remaining points reject and candidates without the identity common;
-    # validate mode checks every decode against the dense solve over all
-    # of Y, so each branch of the leading-points plan is shown to give the
-    # full solve's verdict
+    # checked points reject, candidates without the identity, and zero and
+    # repeated hash points common; validate mode checks every decode
+    # against the dense solve over all of Y, so each branch of the
+    # bounded-points plan is shown to give the full solve's verdict
     cfg = build_config({
         "scheme": "secret-channel", "field": field_name, "b": 2, "n": 3, "trials": 400,
         "seed": 3, "stage_cap": 8, "adversary": "uniform-random", "validate": True,
@@ -339,12 +407,13 @@ def test_sc_decode_branches_agree_with_dense_oracle(monkeypatch, field_name):
         if pivots < cfg.b:
             assert events == []
             continue
-        taken = sc_decode_steps(cfg.b, cfg.n, pivots, points, events)
-        if taken and taken[-1].startswith("check") and verdict is Decode.NEED_MORE:
-            taken.append("rejected at the remaining points")
+        taken = sc_decode_steps(cfg.b, cfg.n, pivots, points, events, verdict)
+        if taken and taken[0].startswith("check") and verdict is Decode.NEED_MORE:
+            taken.append("rejected at the checked points")
         steps += taken
-    assert {"fallback", "check", "check without identity",
-            "rejected at the remaining points"} <= set(steps)
+    assert {"fallback", "bounded fallback", "check", "check without identity",
+            "stopped at the bound", "every distinct nonzero point", "no check",
+            "rejected at the checked points"} <= set(steps), set(steps)
 
 
 def test_elimination_makes_no_elementwise_field_calls(monkeypatch):
