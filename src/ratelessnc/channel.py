@@ -65,6 +65,12 @@ class StageOutcome:
             raise AssertionError("channel decomposition Y = T X + Q Z violated")
 
 
+def _received(field: Field, t: np.ndarray, q: np.ndarray, x: np.ndarray,
+              z: np.ndarray) -> np.ndarray:
+    """Y = T X + Q Z as the one product [T | Q] [X; Z]."""
+    return field.matmul(np.concatenate([t, q], axis=1), np.concatenate([x, z]))
+
+
 def sample_transfer(field: Field, params: StageParams, rng: np.random.Generator,
                     retry_cap: int = 64) -> tuple[np.ndarray, np.ndarray]:
     """Draw T (M x c, resampled to full row rank M) and Q (M x z, uniform)."""
@@ -113,8 +119,7 @@ class MatrixChannel:
         t, q = sample_transfer(f, params, rng)
         z = make_errors(f, self.adversary, params.z, x.shape[1], x, rng)
         q = q[:, : z.shape[0]]
-        y = f.add(f.matmul(t, x), f.matmul(q, z))
-        return StageOutcome(Y=y, T=t, Q=q, Z=z)
+        return StageOutcome(Y=_received(f, t, q, x, z), T=t, Q=q, Z=z)
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +288,7 @@ def hypergraph_transfer(field: Field, g: Hypergraph, stage_inputs: np.ndarray,
         raise ValueError("sink is disconnected: no packets received")
     t = np.stack([ct for ct, _ in sink_packets])
     q = np.stack([cq for _, cq in sink_packets])
-    y = field.add(field.matmul(t, stage_inputs), field.matmul(q, adversary_inputs))
+    y = _received(field, t, q, stage_inputs, adversary_inputs)
     return StageOutcome(Y=y, T=t, Q=q, Z=adversary_inputs)
 
 

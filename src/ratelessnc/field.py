@@ -17,29 +17,34 @@ inside this module:
 
 * ``pivot_step(block, r)`` is one Gauss-Jordan pivot, in place: it scales
   row r so that ``block[r, 0] == 1`` and clears column 0 in every other
-  row.  GF(2^w) does it in the log domain with Python-int scalars (the
-  rank-1 update is two log gathers, one antilog gather and one in-place
-  XOR into the block); GF(p) with int64 arithmetic and one modular
-  inverse by ``pow``.  No per-element field call is made.
+  row.  GF(2^w) does it in the log domain with Python-int scalars, as one
+  rank-1 update (two log gathers, one antilog gather and one in-place XOR
+  into the block) that adds to every row its column-0 entry times row r
+  over the pivot p.  Row r's own factor is p + 1 (p XOR 1), which leaves
+  it as row r over p, so scaling it takes no gather of its own.  GF(p)
+  does it with int64 arithmetic and one modular inverse by ``pow``.  No
+  per-element field call is made.
 * ``matmul``.  In GF(2^w) a product of at most ``_SLAB`` (2^16) entry
   products is one ``take`` from the antilog table over all of them,
   XOR-reduced over the inner axis.  A larger one loops over its shortest
   axis and gathers the other two in slabs of whole lines holding at most
   ``_SLAB`` entries (one line, when a line alone is longer).
 
-GF(2^w) keeps one antilog table, stored as ``uint16`` (512 KiB at
-w = 16, where an ``int64`` one takes 2 MiB), beside the ``int64`` log
+GF(2^w) keeps one antilog table, stored as ``uint16`` (896 KiB at
+w = 16, where an ``int64`` one takes 3.5 MiB), beside the ``int64`` log
 table; gathers and XOR reductions run in ``uint16``, and ``mul``, ``inv``,
 ``pow_int`` and ``matmul`` return ``int64`` as every other routine does.
 The tables are built by doubling: x^(h+j) = x^j * x^h, a GF(2)-linear map
 of the bits of x^j.
 
 Table indices: ``log`` maps nonzero elements to [0, q-1) and zero to
-``zoff = 2q``; ``exp`` has 4q + 1 entries, period q - 1 on [0, 2(q-1))
-and zero from there on.  A sum of two reduced logs stays below 2(q-1), so
-it lands in the periodic part, and a sum with one or two logs of zero
-lies in [2q, 4q], so it lands in the zero tail: every gather is a field
-product, zero factors included, and no index leaves ``exp``.
+3q; ``exp`` has 7q entries, three periods of length q - 1 on [0, 3(q-1))
+and zero from there on.  A product's index is a sum of two logs, and a
+pivot step's adds an exponent in [1, q-1] (the log of 1/p).  With no
+zero factor either stays below 3(q-1), so it lands in the periodic part;
+with a log of zero in it, it lies in [3q, 7q), so it lands in the zero
+tail: every gather is a field product, zero factors included, and no
+index leaves ``exp``.
 """
 
 from __future__ import annotations
@@ -157,7 +162,8 @@ class GF2Field(Field):
     """GF(2^w) via log/antilog tables.
 
     ``log[0]`` points into a zero-filled tail of the antilog table, so
-    ``exp[log[a] + log[b]]`` multiplies correctly even when a or b is 0.
+    ``exp[log[a] + log[b]]`` multiplies correctly even when a or b is 0,
+    and so does a pivot step's ``exp[log[f] + log[a] + log(1/p)]``.
     """
 
     def __init__(self, w: int, poly: int | None = None):
@@ -169,8 +175,7 @@ class GF2Field(Field):
         if self.poly.bit_length() - 1 != w:
             raise ValueError(f"reduction polynomial degree {self.poly.bit_length()-1} != {w}")
 
-        zoff = 2 * q  # log "of zero"; sums with it land in the zero tail
-        exp = np.zeros(2 * zoff + 1, dtype=np.uint16)
+        exp = np.zeros(7 * q, dtype=np.uint16)
         # powers x^0 .. x^(q-2) by doubling: x^(h+j) = x^j * x^h, and
         # multiplying by x^h maps bit k of x^j to x^(h+k)
         exp[0] = 1
@@ -196,10 +201,10 @@ class GF2Field(Field):
                 "cannot build log tables"
             )
         exp[q - 1: 2 * (q - 1)] = cycle
-        log[0] = zoff
+        exp[2 * (q - 1): 3 * (q - 1)] = cycle
+        log[0] = 3 * q  # log "of zero"; sums with it land in the zero tail
         self._exp = exp
         self._log = log
-        self._zoff = zoff
 
     def add(self, a, b):
         return np.bitwise_xor(a, b)
@@ -268,16 +273,17 @@ class GF2Field(Field):
         return out.astype(self.dtype)
 
     def pivot_step(self, block, r):
+        """One rank-1 update in the log domain: with p = block[r, 0], every
+        row i is XORed with f_i * (row r / p), where f_i = block[i, 0] for
+        i != r and f_r = p + 1, so row r becomes row r / p (and stays as it
+        is when p == 1, since log 0 lands in the zero tail).  An index is
+        log f_i + log row r + (q - 1 - log p), below 3(q - 1) with no zero
+        factor (the table's periodic part) and at least 3q with one."""
         exp, log = self._exp, self._log
-        row = block[r]
-        lrow = log[row]
-        lp = int(lrow[0])
-        if lp:  # pivot != 1: multiply the row by exp[q-1-lp], its inverse
-            row[:] = exp.take(lrow + (self.q - 1 - lp))
-            lrow = log[row]
+        lrow = log[block[r]]
         lf = log[block[:, 0]]
-        lf[r] = self._zoff  # row r is left as it is
-        block ^= exp.take(lf[:, None] + lrow)
+        lf[r] = log[int(block[r, 0]) ^ 1]
+        block ^= exp.take(lf[:, None] + (lrow + (self.q - 1 - int(lrow[0]))))
 
 
 class PrimeField(Field):

@@ -128,7 +128,7 @@ def extend_rref(field: Field, rref: np.ndarray, pivots: list[int],
     rref = field.sub(rref, field.matmul(rref[:, new], fresh))
     merged = pivots + new
     order = np.argsort(merged, kind="stable")
-    return np.vstack([rref, fresh])[order], [merged[j] for j in order]
+    return np.concatenate([rref, fresh])[order], [merged[j] for j in order]
 
 
 class SolveStatus(enum.Enum):
@@ -169,10 +169,10 @@ def solve_exact(field: Field, a: np.ndarray, rhs: np.ndarray) -> SolveOutcome:
     if a.shape[0] != rhs.shape[0]:
         raise ValueError(f"dimension mismatch: {a.shape} vs rhs {rhs.shape}")
     rows, cols = a.shape
-    work = np.hstack([a, rhs]).astype(np.int64, copy=False)
+    work = np.concatenate([a, rhs], axis=1).astype(np.int64, copy=False)
     basis, done, lead = work[:0], 0, min(rows, cols + 1)
     while True:
-        block = np.vstack([basis, work[done:lead]])
+        block = np.concatenate([basis, work[done:lead]])
         r = len(_gauss_jordan(field, block, cols))
         if np.any(block[r:, cols:]):
             return SolveOutcome(SolveStatus.NO_SOLUTION)

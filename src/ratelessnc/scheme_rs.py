@@ -42,6 +42,7 @@ of suffix unknowns into parity rows and the ground-truth layout of
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -172,13 +173,16 @@ def rs_make_suffix(field: Field, w_vec: np.ndarray, secret: SharedSecret,
     return field.sub(h_k, _parity_times(field, d_k, w_vec))
 
 
+@functools.lru_cache
 def l_entry_map(i: int, m: int, sigma: int) -> np.ndarray:
     """Map the non-identity region of the stage-i staircase to suffix
     symbol indices.
 
     Entry [c, (k-1)*sigma + s] is the index of L-column c, block-k row s in
     the concatenated suffix vector (l_1 .. l_i), or -1 where the position
-    is dummy zero padding (block k ends at column k*m)."""
+    is dummy zero padding (block k ends at column k*m).  The map depends
+    on its arguments only, so it is built once per (i, m, sigma) and
+    returned read-only."""
     out = np.full((i * m, i * sigma), -1, dtype=np.int64)
     offset = 0
     for k in range(1, i + 1):
@@ -187,6 +191,7 @@ def l_entry_map(i: int, m: int, sigma: int) -> np.ndarray:
         rows = slice((k - 1) * sigma, k * sigma)
         out[:width, rows] = offset + cols[:, None] * sigma + np.arange(sigma)[None, :]
         offset += k * sigma * m
+    out.flags.writeable = False
     return out
 
 
@@ -201,6 +206,12 @@ def assemble_staircase(params: RsParams, suffixes: list[np.ndarray]) -> np.ndarr
         out[(k - 1) * sigma: k * sigma, : k * m] = linalg.devectorize(l_k, sigma, k * m)
     out[:, i * m:] = linalg.eye(i * sigma)
     return out
+
+
+def _identity_first(packets: np.ndarray, ident_cols: int) -> np.ndarray:
+    """The packets with their trailing ``ident_cols`` identity columns
+    moved to the front."""
+    return np.concatenate([packets[:, -ident_cols:], packets[:, :-ident_cols]], axis=1)
 
 
 class RsEncoder:
@@ -282,6 +293,9 @@ class RsSinkState:
     def ingest(self, y_i: np.ndarray, j_i: np.ndarray) -> None:
         p = self.params
         i = self.stage + 1
+        if y_i.ndim != 2 or j_i.ndim != 2:
+            raise ValueError(
+                f"packet blocks must be 2-D, got long {y_i.ndim}-D and short {j_i.ndim}-D")
         if y_i.shape[1] != p.n + p.b:
             raise ValueError(f"long packet width {y_i.shape[1]} != n+b = {p.n + p.b}")
         if j_i.shape[1] != i * (p.m + p.sigma):
@@ -293,17 +307,18 @@ class RsSinkState:
         f.check_range(j_i, "short packet symbols")
         # both bases put the packets' trailing identity columns first
         self._yb, self._ypiv = linalg.extend_rref(
-            f, self._yb, self._ypiv, np.roll(y_i, p.b, axis=1))
+            f, self._yb, self._ypiv, _identity_first(y_i, p.b))
         # re-pad the short basis with this stage's zero identity and dummy
         # columns, exactly as the staircase rows are; zero columns keep the
         # reduced form, shifting the pivots past the inserted identity block
         cut = (i - 1) * p.sigma
-        rows = self._jb.shape[0]
-        jb = np.hstack([self._jb[:, :cut], linalg.zeros(rows, p.sigma),
-                        self._jb[:, cut:], linalg.zeros(rows, p.m)])
+        old = self._jb
+        jb = linalg.zeros(old.shape[0], j_i.shape[1])
+        jb[:, :cut] = old[:, :cut]
+        jb[:, cut + p.sigma: -p.m] = old[:, cut:]
         jpiv = [c if c < cut else c + p.sigma for c in self._jpiv]
         self._jb, self._jpiv = linalg.extend_rref(
-            f, jb, jpiv, np.roll(j_i, i * p.sigma, axis=1))
+            f, jb, jpiv, _identity_first(j_i, i * p.sigma))
         self.stage = i
 
     # -- decoding -------------------------------------------------------
@@ -327,8 +342,9 @@ class RsSinkState:
         rest = sorted(set(range(scan_limit)) - set(chosen))
         reduced = rref[:, [ident_cols + c for c in rest]]
         # pivot rows come identity-first; the basis is ordered chosen-first
-        coef = np.vstack([reduced[ident_cols:], reduced[:ident_cols]])
-        return np.roll(rref, -ident_cols, axis=1), r, chosen, rest, coef
+        coef = np.concatenate([reduced[ident_cols:], reduced[:ident_cols]])
+        return (np.concatenate([rref[:, ident_cols:], rref[:, :ident_cols]], axis=1),
+                r, chosen, rest, coef)
 
     def build_key_equation(self) -> KeyEquation | None:
         """Read both column bases off the kept bases and collect the key
@@ -420,7 +436,7 @@ class RsSinkState:
             a_x = f.add(d_a, d_b_fz.reshape(r - b, cnt, b).transpose(1, 0, 2)
                         .reshape(cnt, theta_a))
             c = f.sub(ke.targets[rows], f.matmul(d_b, f_x_vec[:, None])[:, 0])
-            return np.hstack([f.neg(a_x), c[:, None]])
+            return np.concatenate([f.neg(a_x), c[:, None]], axis=1)
 
         g = min(gamma, -(-2 * theta_a // isig))
         read_b = int(kept_b[: g * isig].sum())
@@ -446,7 +462,7 @@ class RsSinkState:
         out = solve_leading(g, want_b)
         if out.status is SolveStatus.MULTIPLE and g < gamma:
             g = gamma
-            out = solve_leading(g, np.vstack([want_b, l_aff(rows_b[read_b:])]))
+            out = solve_leading(g, np.concatenate([want_b, l_aff(rows_b[read_b:])]))
         if out.status is not SolveStatus.UNIQUE:
             return unsolved(out.status)
 
@@ -462,7 +478,7 @@ class RsSinkState:
             raise AssertionError("key equation bookkeeping inconsistent with solution")
 
         w_hat = linalg.zeros(b, p.n)
-        w_hat[:, ke.x_col_order] = np.hstack([x_a, x_b])
+        w_hat[:, ke.x_col_order] = np.concatenate([x_a, x_b], axis=1)
         return DecodeResult(Decode.DECODED, w=w_hat)
 
 
@@ -481,7 +497,7 @@ def _blocks_hold(f: Field, ke: KeyEquation, x_a, x_b, l_a, l_b) -> bool:
     l_sfx = np.zeros(ke.points.size, dtype=np.int64)
     l_sfx[ke.l_kept_idx] = l_slots[ke.kept_mask]
     w_vec = np.empty(ke.xperm.size, dtype=np.int64)
-    w_vec[ke.xperm] = linalg.vectorize(np.hstack([x_a, x_b]))
+    w_vec[ke.xperm] = linalg.vectorize(np.concatenate([x_a, x_b], axis=1))
     return np.array_equal(f.add(_parity_times(f, ke.points, w_vec), l_sfx), ke.targets)
 
 

@@ -53,7 +53,7 @@ class SourceMessage:
     @classmethod
     def from_w(cls, w: np.ndarray) -> "SourceMessage":
         b = w.shape[0]
-        return cls(w=w, x0=np.hstack([w, linalg.eye(b)]))
+        return cls(w=w, x0=np.concatenate([w, linalg.eye(b)], axis=1))
 
     @classmethod
     def random(cls, field: Field, b: int, n: int, rng: np.random.Generator) -> "SourceMessage":
@@ -65,7 +65,7 @@ class SourceMessage:
 
     def combine(self, field: Field, k: np.ndarray) -> np.ndarray:
         """Packets K (W | I) = (K W | K)."""
-        return np.hstack([field.matmul(k, self.w), k])
+        return np.concatenate([field.matmul(k, self.w), k], axis=1)
 
     @property
     def b(self) -> int:
@@ -152,6 +152,8 @@ class SinkStateSC:
     def ingest(self, y_i: np.ndarray, secret: SecretStagePayload) -> None:
         f = self.field
         width = self.n + self.b
+        if y_i.ndim != 2:
+            raise ValueError(f"observations must be a 2-D block, got {y_i.ndim}-D")
         if y_i.shape[1] != width:
             raise ValueError(f"observation width {y_i.shape[1]} != n+b = {width}")
         if secret.points.ndim != 1 or secret.hashes.shape != (self.b, secret.points.size):
@@ -161,7 +163,7 @@ class SinkStateSC:
         f.check_range(secret.hashes, "hash symbols")
         self._rref, self._piv = linalg.extend_rref(f, self._rref, self._piv, y_i)
         self.points = np.concatenate([self.points, secret.points])
-        self.h = np.hstack([self.h, secret.hashes])
+        self.h = np.concatenate([self.h, secret.hashes], axis=1)
 
     def try_decode(self) -> DecodeResult:
         piv = self._piv

@@ -187,7 +187,7 @@ def test_non_primitive_polynomial_rejected():
 def _tables_by_loop(w, poly):
     """The log/antilog tables stepped one power of x at a time."""
     q = 1 << w
-    exp = np.zeros(4 * q + 1, dtype=np.int64)
+    exp = np.zeros(7 * q, dtype=np.int64)
     log = np.zeros(q, dtype=np.int64)
     x = 1
     for i in range(q - 1):
@@ -198,7 +198,8 @@ def _tables_by_loop(w, poly):
             x ^= poly
     assert x == 1
     exp[q - 1: 2 * (q - 1)] = exp[: q - 1]
-    log[0] = 2 * q
+    exp[2 * (q - 1): 3 * (q - 1)] = exp[: q - 1]
+    log[0] = 3 * q
     return exp, log
 
 
@@ -208,6 +209,57 @@ def test_tables_equal_loop_reference(w):
     exp, log = _tables_by_loop(w, f.poly)
     assert f._exp.dtype == np.uint16
     assert np.array_equal(f._exp, exp) and np.array_equal(f._log, log)
+
+
+def _gf2_mul_oracle(a, b, poly):
+    return _poly_divmod(_poly_mul(a, b), poly)[1]
+
+
+def _pivot_step_reference(f, block, r):
+    """One Gauss-Jordan pivot in Python ints, independent of the tables:
+    row r over its column-0 entry p, then every other row minus its
+    column-0 entry times that row."""
+    if isinstance(f, GF2Field):
+        mul = lambda a, b: _gf2_mul_oracle(a, b, f.poly)
+        inv = lambda a: gf2_inv_oracle(a, f.poly)
+        sub = lambda a, b: a ^ b
+    else:
+        mul = lambda a, b: a * b % f.q
+        inv = lambda a: prime_inverse_oracle(a, f.q)
+        sub = lambda a, b: (a - b) % f.q
+    rows = [[int(v) for v in row] for row in block]
+    p_inv = inv(rows[r][0])
+    rows[r] = [mul(v, p_inv) for v in rows[r]]
+    for i, row in enumerate(rows):
+        if i != r:
+            rows[i] = [sub(v, mul(row[0], u)) for v, u in zip(row, rows[r])]
+    return np.array(rows, dtype=np.int64)
+
+
+@pytest.mark.parametrize("name", [f"gf2_{w}" for w in range(2, 17)] + ["prime7", "prime251"])
+def test_pivot_step_matches_python_int_reference(name):
+    # pivots equal to 1 and not, zeros in the pivot row and in column 0,
+    # and a one-row block, each against a loop over Python ints
+    f = get_field(name)
+    rng = np.random.default_rng([17, f.q])
+    cases = []
+    for rows, cols, r in ((5, 7, 2), (4, 4, 0), (6, 9, 5), (1, 6, 0), (1, 1, 0)):
+        for pivot in (1, None):
+            block = f.sample(rng, (rows, cols))
+            block[r, 0] = pivot if pivot is not None else int(rng.integers(2, f.q))
+            cases.append((block, r))
+            holed = block.copy()
+            holed[r, 1::2] = 0                      # zeros in the pivot row
+            holed[(np.arange(rows) != r) & (np.arange(rows) % 2 == 0), 0] = 0  # in column 0
+            holed[-1, 1:] = 0                       # a row zero past column 0
+            cases.append((holed, r))
+    for block, r in cases:
+        want = _pivot_step_reference(f, block, r)
+        got = block.copy()
+        f.pivot_step(got, r)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want), (block, r)
+        assert got[r, 0] == 1 and not np.any(np.delete(got[:, 0], r))
 
 
 @pytest.mark.parametrize("name", ["gf2_4", "gf2_16"])

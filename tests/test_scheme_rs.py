@@ -665,14 +665,36 @@ def test_try_decode_leaves_key_equation_alone(case):
                 assert old == new, fld.name
 
 
+def sink_state(sink):
+    return sink._yb.copy(), list(sink._ypiv), sink._jb.copy(), list(sink._jpiv), sink.stage
+
+
 def test_sink_rejects_bad_widths(gf16):
+    # wrong widths and blocks that are not 2-D are refused before any state
+    # changes, by an empty sink and by one holding a stage; a 3-D short
+    # block whose second axis has the stage's width passes the width
+    # checks, so only the 2-D check stops it before the long basis grows
     p = std_params()
-    secret = SharedSecret(gf16, p, np.random.default_rng(23))
-    sink = RsSinkState(gf16, p, secret)
-    with pytest.raises(ValueError, match="long packet width"):
-        sink.ingest(zeros(2, 5), zeros(2, p.m + p.sigma))
-    with pytest.raises(ValueError, match="short packet width"):
-        sink.ingest(zeros(2, p.n + p.b), zeros(2, 5))
+    rng = np.random.default_rng(25)
+    sink = RsSinkState(gf16, p, SharedSecret(gf16, p, np.random.default_rng(23)))
+    for i in (1, 2):
+        y = gf16.sample(rng, (3, p.n + p.b))
+        j = gf16.sample(rng, (2, i * (p.m + p.sigma)))
+        before = sink_state(sink)
+        for bad_y, bad_j, what in (
+            (zeros(2, 5), j, "long packet width"),
+            (y, zeros(2, 5), "short packet width"),
+            (y, j[:, :, None], "2-D"),
+            (y[:, :, None], j, "2-D"),
+            (y[0], j, "2-D"),
+            (y, j[0], "2-D"),
+        ):
+            with pytest.raises(ValueError, match=what):
+                sink.ingest(bad_y, bad_j)
+            after = sink_state(sink)
+            assert all(np.array_equal(u, v) for u, v in zip(before, after)), what
+        sink.ingest(y, j)
+        assert sink.stage == i
 
 
 @pytest.mark.parametrize("bad", [-1, 1 << 16])
@@ -684,12 +706,13 @@ def test_sink_rejects_out_of_range_symbols(gf16, bad):
     y_bad, j_bad = y.copy(), j.copy()
     y_bad[1, 3] = bad
     j_bad[0, 0] = bad
+    before = sink_state(sink)
     with pytest.raises(ValueError, match="long packet symbols"):
         sink.ingest(y_bad, j)
     with pytest.raises(ValueError, match="short packet symbols"):
         sink.ingest(y, j_bad)
     with pytest.raises(ValueError, match="integer dtype"):
         sink.ingest(y.astype(float), j)
-    assert sink.stage == 0
+    assert all(np.array_equal(u, v) for u, v in zip(before, sink_state(sink)))
     sink.ingest(y, j)
     assert sink.stage == 1

@@ -138,8 +138,12 @@ def test_ingest_stacking_sizes(gf16):
 
 def test_ingest_rejects_bad_width(gf16):
     sink = SinkStateSC(gf16, 2, 6)
-    with pytest.raises(ValueError):
-        sink.ingest(zeros(2, 7), SecretStagePayload(np.array([1]), zeros(2, 1)))
+    payload = SecretStagePayload(np.array([1]), zeros(2, 1))
+    with pytest.raises(ValueError, match="width"):
+        sink.ingest(zeros(2, 7), payload)
+    for y in (zeros(2, 8)[0], zeros(2, 8)[:, :, None]):
+        with pytest.raises(ValueError, match="2-D"):
+            sink.ingest(y, payload)
 
 
 def test_noiseless_single_stage_decodes(gf16):
@@ -296,7 +300,8 @@ def test_validate_mode_checks_sink_against_dense_oracle(gf16, monkeypatch):
 @pytest.mark.parametrize("bad", [-1, 1 << 16])
 def test_ingest_rejects_out_of_range_symbols(gf16, bad):
     # GF(2^16) tables would wrap -1 to 65535 silently; the sink refuses it,
-    # and a malformed hash block, before it changes any state
+    # an observation block that is not 2-D and a malformed hash block,
+    # before it changes any state
     f = gf16
     msg = SourceMessage.random(f, 2, 6, np.random.default_rng(15))
     rng = np.random.default_rng(16)
@@ -316,6 +321,9 @@ def test_ingest_rejects_out_of_range_symbols(gf16, bad):
             sink.ingest(y_bad, good)
         with pytest.raises(ValueError, match="integer dtype"):
             sink.ingest(y.astype(float), good)
+        for y_bad in (y[0], y[:, :, None]):
+            with pytest.raises(ValueError, match="2-D"):
+                sink.ingest(y_bad, good)
         for field_name, label in (("points", "evaluation points"), ("hashes", "hash symbols")):
             arr = getattr(good, field_name).copy()
             arr.flat[0] = bad

@@ -19,7 +19,11 @@ rank + 1 hash points and checks its one candidate with a b-row product at
 the following distinct nonzero points up to the degree bound, n or n + b;
 the events of every decode are matched against that plan, on the
 benchmark session and, with the dense oracle checking every verdict, on
-small fields where each of its branches occurs.
+small fields where each of its branches occurs.  Every stage's fixed
+costs are pinned as well: a channel use is one product, [T | Q] [X; Z],
+in both channel modes; no stage re-lays out an array through ``np.roll``,
+``np.hstack`` or ``np.vstack`` (one ``np.concatenate`` does it); and the
+random-secret slot map is built once per stage shape, not per session.
 """
 
 import math
@@ -28,7 +32,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ratelessnc import linalg, scheme_rs, scheme_sc
+from ratelessnc import channel, linalg, scheme_rs, scheme_sc
 from ratelessnc.field import get_field
 from ratelessnc.harness import build_config, load_config, run_experiment
 from ratelessnc.linalg import SolveStatus
@@ -449,3 +453,74 @@ def test_elimination_makes_no_elementwise_field_calls(monkeypatch):
     assert rec.outcome == "decoded" and rec.correct and rec.stages_used == 8
     assert calls["inside"] == []
     assert calls["outside"] > 0 and sum(passes) > 0  # the watch saw the session
+
+
+@pytest.mark.parametrize("config", [CONFIGS / "rs-cutset-b3.yaml",
+                                    CONFIGS.parents[1] / "configs" / "sc_hypergraph.yaml"])
+def test_one_product_per_channel_use(monkeypatch, config):
+    # matrix mode (the random-secret workload's long and short channels)
+    # and hypergraph mode: Y = T X + Q Z is one Field.matmul, and the
+    # decomposition it records still holds
+    cfg = load_config(config, {"seed": 1, "trials": 5})
+    field = get_field(cfg.field_name)
+    uses = []                   # Field.matmul calls made by each channel use
+    open_use = []               # the channel use open now, if any
+    real_matmul = field.matmul
+
+    def matmul(a, b):
+        if open_use:
+            uses[-1] += 1
+        return real_matmul(a, b)
+
+    def watched(fn):
+        def wrapper(*args):
+            uses.append(0)
+            open_use.append(True)
+            try:
+                out = fn(*args)
+            finally:
+                open_use.pop()
+            assert np.array_equal(out.Y, field.add(real_matmul(out.T, args[-2]),
+                                                    real_matmul(out.Q, out.Z)))
+            return out
+        return wrapper
+
+    monkeypatch.setitem(vars(field), "matmul", matmul)
+    for owner in (channel.MatrixChannel, channel.HypergraphChannel):
+        monkeypatch.setattr(owner, "__call__", watched(owner.__call__))
+    records, _ = run_experiment(cfg)
+    assert all(r.outcome == "decoded" and r.correct for r in records)
+    stages = sum(r.stages_used for r in records)
+    assert uses == [1] * stages * (2 if cfg.scheme == "random-secret" else 1)
+
+
+@pytest.mark.parametrize("name", ["rs-long-b8", "rs-cutset-b3", "sc-rate-b16"])
+def test_stages_make_no_numpy_relayout_helpers(monkeypatch, name):
+    # np.roll, np.hstack and np.vstack are Python-level wrappers around a
+    # copy; every re-layout on the stage path is one np.concatenate
+    calls = []
+    for helper in ("roll", "hstack", "vstack"):
+        real = getattr(np, helper)
+
+        def counted(*args, _helper=helper, _real=real, **kwargs):
+            calls.append(_helper)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np, helper, counted)
+    cfg = load_config(CONFIGS / f"{name}.yaml", {"seed": 1})
+    assert not cfg.validate
+    records, _ = run_experiment(cfg)
+    assert all(r.outcome == "decoded" and r.correct for r in records)
+    assert calls == []
+
+
+def test_l_entry_map_built_once_and_read_only():
+    lmap = scheme_rs.l_entry_map(3, 4, 2)
+    assert scheme_rs.l_entry_map(3, 4, 2) is lmap
+    assert not lmap.flags.writeable
+    with pytest.raises(ValueError):
+        lmap[0, 0] = 7
+    # callers take copies by fancy indexing, which are theirs to write
+    picked = lmap[[2, 0]]
+    picked[0, 0] = 7
+    assert lmap[2, 0] != 7
