@@ -32,14 +32,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    overrides = {}
-    if getattr(args, "trials", None) is not None:
-        overrides["trials"] = args.trials
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = args.seed
-    if getattr(args, "scheme", None) is not None:
-        overrides["scheme"] = args.scheme
-
+    overrides = {k: getattr(args, k, None) for k in ("trials", "seed", "scheme")}
     try:
         cfg = load_config(args.config, overrides=overrides)
     except ConfigError as exc:

@@ -115,11 +115,6 @@ class Field:
     def inv(self, a):
         raise NotImplementedError
 
-    def div(self, a, b):
-        if np.any(np.asarray(b) == 0):
-            raise ZeroDivisionError("division by zero field element")
-        return self.mul(a, self.inv(b))
-
     def pow_int(self, a, k: int):
         """Elementwise a**k for integer k >= 0, with 0**0 defined as 1."""
         raise NotImplementedError

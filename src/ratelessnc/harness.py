@@ -18,7 +18,7 @@ import itertools
 import json
 import numbers
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 from pathlib import Path
 
 import numpy as np
@@ -200,7 +200,6 @@ class ExperimentConfig:
     stage_cap: int
     adversary: AdversaryStrategy
     stage_model: FixedStageModel | IidStageModel
-    channel_mode: str = "matrix"
     topology: Hypergraph | None = None
     rs_params: RsParams | None = None
     short_stage_model: FixedStageModel | IidStageModel | None = None
@@ -336,8 +335,8 @@ def build_config(raw: dict, base_dir: Path | None = None) -> ExperimentConfig:
     return ExperimentConfig(
         scheme=scheme, field_name=field_name, b=b, n=n, trials=trials, seed=seed,
         stage_cap=stage_cap, adversary=adversary, stage_model=stage_model,
-        channel_mode=mode, topology=topology, rs_params=rs_params,
-        short_stage_model=short_model, validate=validate,
+        topology=topology, rs_params=rs_params, short_stage_model=short_model,
+        validate=validate,
     )
 
 
@@ -357,7 +356,7 @@ class Summary:
 
 
 def _make_channel(cfg: ExperimentConfig, field: Field):
-    if cfg.channel_mode == "hypergraph":
+    if cfg.topology is not None:
         return HypergraphChannel(field, cfg.topology, cfg.adversary)
     return MatrixChannel(field, cfg.adversary)
 
@@ -453,15 +452,6 @@ def emit_outputs(records: list[TrialRecord], summary: Summary, out_dir) -> tuple
     lines += [format_trial_row(r) for r in records]
     csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     summary_path = out / "summary.json"
-    payload = {
-        "trials": summary.trials,
-        "mean_rate": summary.mean_rate,
-        "decode_at_cutset_frequency": summary.decode_at_cutset_frequency,
-        "silent_corruption_count": summary.silent_corruption_count,
-        "theoretical_rate_bound": summary.theoretical_rate_bound,
-        "wall_clock_seconds": summary.wall_clock_seconds,
-        "outcome_counts": summary.outcome_counts,
-    }
-    summary_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
+    summary_path.write_text(json.dumps(asdict(summary), indent=2, sort_keys=True) + "\n",
                             encoding="utf-8")
     return csv_path, summary_path

@@ -19,16 +19,12 @@ A decode reads at most rank + 1 + n + b hash points, however many it has
 received.  The secret channel delivers H = X0 D honestly (the paper's
 model), so a candidate X agrees with H at a point p exactly where
 (X - X0) d(p) = 0, and row by row that difference is p Q(p) for a
-polynomial Q of degree below n + b, below n when X carries X0's identity
-columns.  A nonzero Q has fewer roots than that bound, so once X agrees
-with H at n (n + b) distinct nonzero points, Q is zero: X = X0, and X
-agrees with H everywhere.  A zero point or a repeated one adds no
-equation.  So the sink solves for
-the combination on as many hash points as it has unknowns, plus one, and
-checks the one candidate that gives only at the following distinct
-nonzero points, until n (n + b) such points are read; when the leading
-points leave it ambiguous, it re-solves on them plus the points up to
-n + b distinct nonzero ones, where D has full row rank.
+polynomial Q of degree below n + b.  A nonzero Q has fewer roots than
+that, so once X agrees with H at n + b distinct nonzero points, X = X0.
+A zero point or a repeated one adds no equation.  So the sink solves for
+the combination once, on the leading rank + 1 hash points followed by the
+points up to n + b distinct nonzero ones, and that solve's verdict is the
+verdict over every point.
 """
 
 from __future__ import annotations
@@ -125,20 +121,14 @@ class SinkStateSC:
     held: the sink keeps the evaluation points and hash columns and
     evaluates D at the points a decode reads.
 
-    G is formed only at the leading min(rank + 1, P) of the P hash points,
-    the block ``solve_exact`` eliminates first.  A unique S' there is the
-    only candidate X = S' R, and it agrees with H at the leading points.
-    H = X0 D is delivered honestly, so X agrees with H at every point once
-    it agrees at n distinct nonzero points (n + b when X lacks the
-    identity): X - X0 evaluated at p is p Q(p) with Q of degree below that
-    bound, carrying identity columns equal to X0's.  One b-row product
-    checks X at the following distinct nonzero points only, until the
-    leading and the checked points hold that many; when fewer exist, it
-    checks all of them.  A consistent leading block of rank below
-    rank(Y) re-solves on the leading points plus the points up to n + b
-    distinct nonzero ones; there D has full row rank, or no point is left
-    out but a repeated or zero one, so that solve's verdict is final.
-    Status and message are those of the solve over every point.
+    The solve reads the leading min(rank + 1, P) of the P hash points, the
+    block ``solve_exact`` eliminates first, then the following distinct
+    nonzero points until n + b are read.  Its verdict is that of the solve
+    over every point: a unique S' gives X = S' R agreeing with H at n + b
+    distinct nonzero points, so X = X0 agrees everywhere, or, when fewer
+    exist, at every point that adds an equation; no solution on some
+    points leaves none on all; and a MULTIPLE occurs only when fewer than
+    n + b distinct nonzero points exist, all of them read.
     """
 
     def __init__(self, field: Field, b: int, n: int):
@@ -175,31 +165,17 @@ class SinkStateSC:
         free = np.ones(n + b, dtype=bool)
         free[piv] = False
         r_free = self._rref[:, free]
-
-        def solve(cols):
-            d = linalg.vandermonde(f, points[cols], n + b)
-            g = f.add(d[piv], f.matmul(r_free, d[free]))
-            return linalg.solve_exact(f, g.T, self.h[:, cols].T)
-
         lead = min(len(piv) + 1, points.size)
-        out = solve(np.arange(lead))
-        fell_back = out.status is SolveStatus.MULTIPLE and lead < points.size
-        if fell_back:
-            out = solve(np.concatenate([np.arange(lead), _fresh_points(points, lead, n + b)]))
+        cols = np.concatenate([np.arange(lead), _fresh_points(points, lead, n + b)])
+        d = linalg.vandermonde(f, points[cols], n + b)
+        g = f.add(d[piv], f.matmul(r_free, d[free]))
+        out = linalg.solve_exact(f, g.T, self.h[:, cols].T)
         if out.status is not SolveStatus.UNIQUE:
             return unsolved(out.status)
         s = out.solution.T
         x_hat = linalg.zeros(b, n + b)
         x_hat[:, piv] = s
         x_hat[:, free] = f.matmul(s, r_free)
-        if not fell_back:  # the one candidate, checked up to the degree bound
-            ident = _carries_identity(x_hat, n)
-            cols = _fresh_points(points, lead, n if ident else n + b)
-            if cols.size:
-                d = linalg.vandermonde(f, points[cols], n + b)
-                got = _times_x0(f, x_hat[:, :n], d) if ident else f.matmul(x_hat, d)
-                if not np.array_equal(got, self.h[:, cols]):
-                    return unsolved(SolveStatus.NO_SOLUTION)
         return _accept(x_hat, n)
 
 
@@ -213,13 +189,9 @@ def _fresh_points(points: np.ndarray, lead: int, bound: int) -> np.ndarray:
     return np.sort(first[first >= lead])[: max(bound - seen, 0)]
 
 
-def _carries_identity(x0_hat: np.ndarray, n: int) -> bool:
-    return np.array_equal(x0_hat[:, n:], linalg.eye(x0_hat.shape[0]))
-
-
 def _accept(x0_hat: np.ndarray, n: int) -> DecodeResult:
     """Decode only when the recovered packets carry the (W | I) identity."""
-    if not _carries_identity(x0_hat, n):
+    if not np.array_equal(x0_hat[:, n:], linalg.eye(x0_hat.shape[0])):
         return DecodeResult(Decode.FAILURE)
     return DecodeResult(Decode.DECODED, w=x0_hat[:, :n])
 

@@ -336,7 +336,12 @@ def test_emit_empty_records(tmp_path):
                       wall_clock_seconds=0.0)
     csv_path, summary_path = emit_outputs([], summary, tmp_path)
     assert csv_path.read_text() == "trial,N,outcome,correct,rate,stage_trace\n"
-    assert json.loads(summary_path.read_text())["trials"] == 0
+    payload = json.loads(summary_path.read_text())
+    assert payload["trials"] == 0
+    # the keys are Summary's seven fields, written in sorted order
+    assert list(payload) == ["decode_at_cutset_frequency", "mean_rate", "outcome_counts",
+                             "silent_corruption_count", "theoretical_rate_bound", "trials",
+                             "wall_clock_seconds"]
 
 
 def test_csv_mean_matches_summary(tmp_path):

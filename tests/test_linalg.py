@@ -182,10 +182,10 @@ def test_solve_in_row_space_multiple_when_hash_too_narrow(gf251):
     assert out.status is SolveStatus.MULTIPLE
     # exhibit two distinct solutions of the underlying system
     g = f.matmul(y, dm)
-    s1 = np.array([[int(f.div(int(h[0, 0]), int(g[0, 0]))), 0, 0],
-                   [0, int(f.div(int(h[1, 0]), int(g[1, 0]))), 0]])
-    s2 = np.array([[0, 0, int(f.div(int(h[0, 0]), int(g[2, 0])))],
-                   [int(f.div(int(h[1, 0]), int(g[0, 0]))), 0, 0]])
+    s1 = np.array([[int(f.mul(h[0, 0], f.inv(g[0, 0]))), 0, 0],
+                   [0, int(f.mul(h[1, 0], f.inv(g[1, 0]))), 0]])
+    s2 = np.array([[0, 0, int(f.mul(h[0, 0], f.inv(g[2, 0])))],
+                   [int(f.mul(h[1, 0], f.inv(g[0, 0]))), 0, 0]])
     for s in (s1, s2):
         assert np.array_equal(f.matmul(s, g), h)
     assert not np.array_equal(f.matmul(s1, y), f.matmul(s2, y))
