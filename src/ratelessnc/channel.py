@@ -18,6 +18,7 @@ from . import linalg
 from .field import Field
 
 _ADVERSARY_KINDS = ("none", "uniform-random", "additive-targeted")
+_RETRY_CAP = 64  # draws of T before the field is deemed too small for the stage
 
 
 @dataclass(frozen=True)
@@ -71,33 +72,32 @@ def _received(field: Field, t: np.ndarray, q: np.ndarray, x: np.ndarray,
     return field.matmul(np.concatenate([t, q], axis=1), np.concatenate([x, z]))
 
 
-def sample_transfer(field: Field, params: StageParams, rng: np.random.Generator,
-                    retry_cap: int = 64) -> tuple[np.ndarray, np.ndarray]:
+def sample_transfer(field: Field, params: StageParams,
+                    rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Draw T (M x c, resampled to full row rank M) and Q (M x z, uniform)."""
-    for _ in range(retry_cap):
+    for _ in range(_RETRY_CAP):
         t = field.sample(rng, (params.M, params.c))
         if linalg.rank(field, t) == params.M:
             q = field.sample(rng, (params.M, params.z))
             return t, q
     raise RuntimeError(
-        f"could not draw a rank-{params.M} transfer matrix in {retry_cap} tries; "
+        f"could not draw a rank-{params.M} transfer matrix in {_RETRY_CAP} tries; "
         "field too small for these stage parameters"
     )
 
 
 def make_errors(field: Field, strategy: AdversaryStrategy, z: int, packet_len: int,
-                observed: np.ndarray | None, rng: np.random.Generator) -> np.ndarray:
+                observed: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Adversary packets, z rows of packet_len symbols.
 
     uniform-random draws every entry uniformly; additive-targeted mixes
-    random combinations of the observed honest packets with a uniform
-    offset, so the rows carry message content yet leave its row space.
+    random combinations of the observed honest packets (the c >= 1 sent
+    rows) with a uniform offset, so the rows carry message content yet
+    leave its row space.
     """
     if strategy.kind == "none":
         return linalg.zeros(0, packet_len)
     if strategy.kind == "uniform-random":
-        return field.sample(rng, (z, packet_len))
-    if observed is None or observed.shape[0] == 0:
         return field.sample(rng, (z, packet_len))
     coeffs = field.sample(rng, (z, observed.shape[0]))
     mixed = field.matmul(coeffs, observed)
@@ -138,8 +138,8 @@ class Hypergraph:
     the endpoints; names starting with ADV are adversary-controlled."""
 
     hyperedges: list[tuple[str, tuple[str, ...]]]
-    nodes: list[str] = dc_field(default_factory=list)
-    order: list[str] = dc_field(default_factory=list)  # the nodes, topologically sorted
+    nodes: list[str] = dc_field(init=False)
+    order: list[str] = dc_field(init=False)  # the nodes, topologically sorted
 
     def __post_init__(self):
         import networkx as nx

@@ -161,12 +161,12 @@ class GF2Field(Field):
     and so does a pivot step's ``exp[log[f] + log[a] + log(1/p)]``.
     """
 
-    def __init__(self, w: int, poly: int | None = None):
+    def __init__(self, w: int):
         if not 2 <= w <= 16:
             raise ValueError(f"extension degree must be in [2, 16], got {w}")
         self.w = w
         self.q = q = 1 << w
-        self.poly = poly if poly is not None else _DEFAULT_POLY[w]
+        self.poly = _DEFAULT_POLY[w]
         if self.poly.bit_length() - 1 != w:
             raise ValueError(f"reduction polynomial degree {self.poly.bit_length()-1} != {w}")
 

@@ -257,10 +257,10 @@ def build_config(raw: dict, base_dir: Path | None = None) -> ExperimentConfig:
         raise ConfigError("stage_cap must be >= 1")
 
     adv_node = raw.get("adversary", "uniform-random")
-    if isinstance(adv_node, dict):
-        adv_node = adv_node.get("kind", "uniform-random")
+    if not isinstance(adv_node, str):
+        raise ConfigError(f"adversary: expected a strategy name, got {adv_node!r}")
     try:
-        adversary = AdversaryStrategy(kind=str(adv_node))
+        adversary = AdversaryStrategy(kind=adv_node)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -269,10 +269,8 @@ def build_config(raw: dict, base_dir: Path | None = None) -> ExperimentConfig:
     stage_model = _parse_stage_model(raw["stages"], "stages")
 
     channel_node = raw.get("channel", {"mode": "matrix"})
-    if isinstance(channel_node, str):
-        channel_node = {"mode": channel_node}
     if not isinstance(channel_node, dict):
-        raise ConfigError(f"channel: expected a mode name or a mapping, got {channel_node!r}")
+        raise ConfigError(f"channel: expected a mapping with a 'mode' key, got {channel_node!r}")
     mode = channel_node.get("mode", "matrix")
     topology = None
     if mode == "hypergraph":

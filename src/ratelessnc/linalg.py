@@ -4,8 +4,7 @@ Matrices are 2-D numpy int64 arrays of field elements; every routine takes
 the field object first, mirroring how the arithmetic is dispatched (products
 are ``Field.matmul``, pivots ``Field.pivot_step``).  Every elimination is
 ``_gauss_jordan``, which jumps over columns that hold no pivot instead of
-visiting them one at a time.  Besides reduced row echelon form with a
-recorded transform, this module provides:
+visiting them one at a time.  This module provides:
 
 * ``extend_rref`` -- grow a reduced row echelon form by a block of new
   rows, which is how both sinks keep their observations: the new rows
@@ -21,10 +20,12 @@ recorded transform, this module provides:
 * ``solve_in_row_space`` -- recover the combination matrix S with
   ``S (Y @ D) = H`` and classify the outcome by whether the recovered
   product ``S @ Y`` is unique;
-* ``IncrementalReducer`` -- row reduction of a matrix that grows by a
-  bordered block each round, reusing the previous round's reduction and
-  falling back to a batch pass when the bordered update does not apply;
-* Vandermonde construction and column-major (de)vectorization.
+* Vandermonde construction and column-major (de)vectorization;
+* ``rref_with_transform`` (an ``RrefResult``: the form and its row
+  transform) and ``IncrementalReducer`` (row reduction of a matrix that
+  grows by a bordered block each round, reusing the previous round's
+  reduction).  No library code calls these three; they stay for their
+  tests and for the benchmark tracer, which hooks them.
 """
 
 from __future__ import annotations

@@ -17,12 +17,12 @@ The sink keeps each packet kind's observations in reduced row echelon
 form, identity columns first, extended by each stage's new rows with
 ``linalg.extend_rref`` (short rows re-padded to each stage's width, which
 keeps the form).  The decoder reads the column bases of both off those
-forms without eliminating anything: the pivot columns are the identity
-columns (independent with overwhelming probability) followed by the
-greedy in-order basis of the rest, and the non-pivot columns express the
-rest in those bases.  Together with the parity rows this gives one linear
-key equation over the unknown message and suffix entries; a unique
-solution decodes the message.  The sink keeps the key equation as its
+forms in place, with no elimination and no copy of a basis: the pivot
+columns are the identity columns (independent with overwhelming
+probability) followed by the greedy in-order basis of the rest, and the
+non-pivot columns express the rest in those bases.  Together with the
+parity rows this gives one linear key equation over the unknown message
+and suffix entries; a unique solution decodes the message.  The sink keeps the key equation as its
 block factors and solves it from them: the basis expansions pin the
 non-basis unknowns, each basis suffix unknown sits alone in one parity
 row, and what remains is a system in the basis message unknowns only.
@@ -249,7 +249,10 @@ class KeyEquation:
     """The decode system B v = rhs kept as its block factors: the basis
     expansions of both observation stacks, the parity points and targets,
     plus the bookkeeping needed to solve it and to reassemble the message.
-    The parity staircase D is not held: row t of D, in the unknowns' order,
+    Both kept bases are held by reference (``extend_rref`` never writes
+    one in place), identity columns first: t_hat = yb[:, :b] and
+    t_bar_hat = jb[:, :i sigma].  The
+    parity staircase D is not held: row t of D, in the unknowns' order,
     is d_t^(xperm + 1), evaluated where it is read (``dense_key_equation``
     builds D and B whole)."""
 
@@ -262,14 +265,12 @@ class KeyEquation:
     l_col_order: list[int]       # staircase columns (non-identity region)
     kept_mask: np.ndarray        # which (column, row) slots are real suffix symbols
     l_kept_idx: np.ndarray       # their indices into (l_1 .. l_i)
-    t_hat: np.ndarray
-    t_bar_hat: np.ndarray
-    f_z: np.ndarray
-    f_x: np.ndarray
-    f_e: np.ndarray
+    f_z: np.ndarray              # expansion rows of the chosen long columns
+    f_x: np.ndarray              # and of the identity ones
+    f_e: np.ndarray              # the same for the short side
     f_a: np.ndarray
-    yp: np.ndarray
-    jp: np.ndarray
+    yb: np.ndarray
+    jb: np.ndarray
     xperm: np.ndarray            # vec(W) index of each message unknown
     points: np.ndarray           # stacked parity points d
     targets: np.ndarray          # stacked h
@@ -331,20 +332,15 @@ class RsSinkState:
         columns are the greedy in-order column basis that starts with the
         identity columns, and its non-pivot columns are the coefficients
         expressing the rest in that basis: no elimination is needed.
-        Returns the rows in the packets' column layout (leading columns,
-        then identity), their count, the chosen and remaining leading
-        columns and the coefficients with the chosen columns' rows first;
-        None when some identity column is not a pivot yet."""
-        r = rref.shape[0]
+        Returns the basis's rank, the chosen and remaining leading columns
+        and the coefficients, one row per basis column in pivot order (the
+        identity columns', then the chosen ones'); None when some identity
+        column is not a pivot yet."""
         if pivots[:ident_cols] != list(range(ident_cols)):
             return None  # trailing identity image degenerate this stage
         chosen = [c - ident_cols for c in pivots[ident_cols:]]
         rest = sorted(set(range(scan_limit)) - set(chosen))
-        reduced = rref[:, [ident_cols + c for c in rest]]
-        # pivot rows come identity-first; the basis is ordered chosen-first
-        coef = np.concatenate([reduced[ident_cols:], reduced[:ident_cols]])
-        return (np.concatenate([rref[:, ident_cols:], rref[:, :ident_cols]], axis=1),
-                r, chosen, rest, coef)
+        return rref.shape[0], chosen, rest, rref[:, [ident_cols + c for c in rest]]
 
     def build_key_equation(self) -> KeyEquation | None:
         """Read both column bases off the kept bases and collect the key
@@ -357,11 +353,11 @@ class RsSinkState:
         long_side = self._extract_side(self._yb, self._ypiv, p.b, p.n)
         if long_side is None:
             return None
-        yp, r, sel_y, rest_y, coef_y = long_side
+        r, sel_y, rest_y, coef_y = long_side
         short_side = self._extract_side(self._jb, self._jpiv, i * p.sigma, i * p.m)
         if short_side is None:
             return None
-        jp, r_bar, sel_j, rest_j, coef_j = short_side
+        r_bar, sel_j, rest_j, coef_j = short_side
 
         b, n = p.b, p.n
         isig = i * p.sigma
@@ -375,10 +371,8 @@ class RsSinkState:
             stage=i, r=r, r_bar=r_bar, beta=n + b - r, gamma=i * (p.m + p.sigma) - r_bar,
             x_col_order=x_col_order, l_col_order=l_col_order,
             kept_mask=kept_mask, l_kept_idx=slot_idx[kept_mask],
-            t_hat=yp[:, n:], t_bar_hat=jp[:, i * p.m:],
-            f_z=coef_y[: r - b], f_x=coef_y[r - b:],
-            f_e=coef_j[: r_bar - isig], f_a=coef_j[r_bar - isig:],
-            yp=yp, jp=jp,
+            f_z=coef_y[b:], f_x=coef_y[:b], f_e=coef_j[isig:], f_a=coef_j[:isig],
+            yb=self._yb, jb=self._jb,
             xperm=(b * np.asarray(x_col_order)[:, None] + np.arange(b)).reshape(-1),
             points=points, targets=targets,
         )
@@ -472,33 +466,31 @@ class RsSinkState:
         l_a[kept_a] = f.matmul(l_aff_a, np.append(out.solution, 1)[:, None])[:, 0]
         l_a = linalg.devectorize(l_a, isig, r_bar - isig)
         l_b = f.add(f.matmul(l_a, ke.f_e), ke.f_a)
-        if not _blocks_hold(f, ke, x_a, x_b, l_a, l_b):
+        w_hat = linalg.zeros(b, p.n)
+        w_hat[:, ke.x_col_order] = np.concatenate([x_a, x_b], axis=1)
+        if not _blocks_hold(f, ke, w_hat, l_a, l_b):
             if g < gamma:  # an unread row excludes the only candidate
                 return unsolved(SolveStatus.NO_SOLUTION)
             raise AssertionError("key equation bookkeeping inconsistent with solution")
-
-        w_hat = linalg.zeros(b, p.n)
-        w_hat[:, ke.x_col_order] = np.concatenate([x_a, x_b], axis=1)
         return DecodeResult(Decode.DECODED, w=w_hat)
 
 
-def _blocks_hold(f: Field, ke: KeyEquation, x_a, x_b, l_a, l_b) -> bool:
-    """The block equations of B v = rhs for v = (X_a, X_b, L_a, L_b) that
-    the candidate does not meet by construction: the dummy slots are zero
-    and D x + l = h.  The other two, t_hat (X_b - X_a F_z) = t_hat F_x and
+def _blocks_hold(f: Field, ke: KeyEquation, w, l_a, l_b) -> bool:
+    """The block equations of B v = rhs for the candidate W and (L_a, L_b)
+    that it does not meet by construction: the dummy slots are zero and
+    D x + l = h.  The other two, t_hat (X_b - X_a F_z) = t_hat F_x and
     t_bar_hat (L_b - L_a F_e) = t_bar_hat F_a, hold for every candidate
     ``try_decode`` forms, since it sets X_b = X_a F_z + F_x and
     L_b = L_a F_e + F_a, so they are not checked.  D x is formed as
-    D vec(W), x put back in vec(W) order, with D evaluated at every parity
-    point for this product only."""
+    D vec(W), with D evaluated at every parity point for this product
+    only."""
     l_slots = np.concatenate([linalg.vectorize(l_a), linalg.vectorize(l_b)])
     if np.any(l_slots[~ke.kept_mask]):
         return False
     l_sfx = np.zeros(ke.points.size, dtype=np.int64)
     l_sfx[ke.l_kept_idx] = l_slots[ke.kept_mask]
-    w_vec = np.empty(ke.xperm.size, dtype=np.int64)
-    w_vec[ke.xperm] = linalg.vectorize(np.concatenate([x_a, x_b], axis=1))
-    return np.array_equal(f.add(_parity_times(f, ke.points, w_vec), l_sfx), ke.targets)
+    return np.array_equal(f.add(_parity_times(f, ke.points, linalg.vectorize(w)), l_sfx),
+                          ke.targets)
 
 
 def dense_key_equation(ke: KeyEquation, secret: SharedSecret) -> tuple[np.ndarray, np.ndarray]:
@@ -510,19 +502,20 @@ def dense_key_equation(ke: KeyEquation, secret: SharedSecret) -> tuple[np.ndarra
     b, isig = p.b, ke.stage * p.sigma
     r, r_bar, beta, gamma = ke.r, ke.r_bar, ke.beta, ke.gamma
     alpha_tot, nb = ke.points.size, ke.xperm.size
+    t_hat, t_bar_hat = ke.yb[:, :b], ke.jb[:, :isig]
 
     # top block: for each remaining long column, its basis expansion
     # cross-multiplied by t_hat
-    left = f.neg(f.mul(ke.f_z.T[:, None, :, None], ke.t_hat[None, :, None, :]))
+    left = f.neg(f.mul(ke.f_z.T[:, None, :, None], t_hat[None, :, None, :]))
     b_top = np.hstack([
         left.reshape(beta * r, (r - b) * b),
-        np.kron(linalg.eye(beta), ke.t_hat),
+        np.kron(linalg.eye(beta), t_hat),
     ])
     # middle block, then dummy-slot columns deleted
-    left = f.neg(f.mul(ke.f_e.T[:, None, :, None], ke.t_bar_hat[None, :, None, :]))
+    left = f.neg(f.mul(ke.f_e.T[:, None, :, None], t_bar_hat[None, :, None, :]))
     b_mid = np.hstack([
         left.reshape(gamma * r_bar, (r_bar - isig) * isig),
-        np.kron(linalg.eye(gamma), ke.t_bar_hat),
+        np.kron(linalg.eye(gamma), t_bar_hat),
     ])[:, ke.kept_mask]
     # bottom block: parity staircase beside a permutation placing each kept
     # suffix unknown in its parity row
@@ -534,8 +527,8 @@ def dense_key_equation(ke: KeyEquation, secret: SharedSecret) -> tuple[np.ndarra
         np.hstack([linalg.vandermonde(f, ke.points, nb)[ke.xperm].T, b_bot_l]),
     ])
     rhs = np.concatenate([
-        linalg.vectorize(f.matmul(ke.t_hat, ke.f_x)),
-        linalg.vectorize(f.matmul(ke.t_bar_hat, ke.f_a)),
+        linalg.vectorize(f.matmul(t_hat, ke.f_x)),
+        linalg.vectorize(f.matmul(t_bar_hat, ke.f_a)),
         ke.targets,
     ])
     return b_mat, rhs
@@ -596,16 +589,14 @@ def _validate_stage(encoder: RsEncoder) -> None:
 
 def _validate_key_equation(encoder: RsEncoder, ke: KeyEquation, cutset_met: bool) -> None:
     f = encoder.field
-    p = encoder.params
-    # basis reconstruction identities on both sides
-    for (mat, ident, limit, sel, coef) in (
-        (ke.yp, p.b, p.n, ke.x_col_order[: ke.r - p.b], np.vstack([ke.f_z, ke.f_x])),
-        (ke.jp, ke.stage * p.sigma, ke.stage * p.m,
-         ke.l_col_order[: ke.r_bar - ke.stage * p.sigma], np.vstack([ke.f_e, ke.f_a])),
-    ):
-        basis = np.hstack([mat[:, sel], mat[:, limit:]])
-        rest = [c for c in range(limit) if c not in set(sel)]
-        if not np.array_equal(f.matmul(basis, coef), mat[:, rest]):
+    # basis reconstruction identities on both sides: in each kept basis,
+    # the identity and chosen columns times the expansions give the rest
+    for mat, order, coef in ((ke.yb, ke.x_col_order, np.vstack([ke.f_x, ke.f_z])),
+                             (ke.jb, ke.l_col_order, np.vstack([ke.f_a, ke.f_e]))):
+        ident = mat.shape[1] - len(order)
+        cols = list(range(ident)) + [ident + c for c in order]
+        r = coef.shape[0]
+        if not np.array_equal(f.matmul(mat[:, cols[:r]], coef), mat[:, cols[r:]]):
             raise AssertionError("basis reconstruction identity violated")
     # ground truth satisfies the key equation once the cut set is met
     if cutset_met:

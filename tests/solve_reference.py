@@ -137,11 +137,10 @@ def full_row_decode(f, p, ke) -> DecodeResult:
     l_a[kept_a] = f.matmul(l_aff[rows_a], np.append(out.solution, 1)[:, None])[:, 0]
     l_a = linalg.devectorize(l_a, isig, r_bar - isig)
     l_b = f.add(f.matmul(l_a, ke.f_e), ke.f_a)
-    if not _blocks_hold(f, ke, x_a, x_b, l_a, l_b):
-        raise AssertionError("key equation bookkeeping inconsistent with solution")
-
     w_hat = linalg.zeros(b, p.n)
     w_hat[:, ke.x_col_order] = np.hstack([x_a, x_b])
+    if not _blocks_hold(f, ke, w_hat, l_a, l_b):
+        raise AssertionError("key equation bookkeeping inconsistent with solution")
     return DecodeResult(Decode.DECODED, w=w_hat)
 
 
@@ -154,7 +153,10 @@ def extract_side(field, sel_rows: np.ndarray, ident_cols: int, scan_limit: int,
     One Gauss-Jordan pass over (forced columns, then the scan order)
     does both: its pivot columns are the greedy in-order basis and its
     reduced non-pivot columns are the expansion coefficients.  Returns
-    None when the rows cannot support the forced basis yet."""
+    what ``RsSinkState._extract_side`` does: the rank, the chosen and
+    remaining leading columns and the coefficients, one row per basis
+    column in pivot order (forced columns first), or None when the rows
+    cannot support the forced basis yet."""
     r = sel_rows.shape[0]
     if r < ident_cols:
         return None
@@ -168,10 +170,7 @@ def extract_side(field, sel_rows: np.ndarray, ident_cols: int, scan_limit: int,
     rest = sorted(set(range(scan_limit)) - set(chosen))
     where = np.empty(scan_limit, dtype=np.int64)
     where[order] = np.arange(ident_cols, ident_cols + scan_limit)
-    reduced = work[:, where[rest]]
-    # pivot rows come forced-first; the basis is ordered chosen-first
-    coef = np.vstack([reduced[ident_cols:], reduced[:ident_cols]])
-    return sel_rows, r, chosen, rest, coef
+    return r, chosen, rest, work[:, where[rest]]
 
 
 def repad_short_rows(shorts, m: int, sigma: int) -> np.ndarray:

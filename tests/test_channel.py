@@ -78,12 +78,14 @@ def test_uniform_draw_full_rank_rate(gf16):
 
 
 def test_make_errors_none(gf16):
-    z = make_errors(gf16, AdversaryStrategy("none"), 3, 10, None, np.random.default_rng(4))
+    sent = gf16.sample(np.random.default_rng(4), (3, 10))
+    z = make_errors(gf16, AdversaryStrategy("none"), 3, 10, sent, np.random.default_rng(4))
     assert z.shape == (0, 10)
 
 
 def test_make_errors_uniform(gf16):
-    z = make_errors(gf16, AdversaryStrategy("uniform-random"), 1, 10, None,
+    sent = gf16.sample(np.random.default_rng(5), (3, 10))
+    z = make_errors(gf16, AdversaryStrategy("uniform-random"), 1, 10, sent,
                     np.random.default_rng(5))
     assert z.shape == (1, 10)
 

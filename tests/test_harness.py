@@ -381,6 +381,8 @@ def test_cli_validate_rejects(tmp_path, capsys):
             ({"validate": "no"}, "validate"),
             ({"channel": 5}, "channel"),
             ({"channel": [1]}, "channel"),
+            ({"channel": "matrix"}, "channel:"),
+            ({"adversary": {"kind": "none"}}, "adversary:"),
             ({"seed": -1}, "seed"),
             ({"stages": {"kind": "iid", "M": {"values": [3]}, "z": {"values": [-1]}}}, "0 <= z_i"),
             ({"stages": {"kind": "iid", "M": {"values": [3], "probs": [float("nan")]}}},

@@ -269,19 +269,18 @@ def test_basis_reconstruction_identities(gf16):
         sink.ingest(out_l.Y, out_s.Y)
     ke = sink.build_key_equation()
     assert ke is not None
-    # long side: Y' columns = [T'' T_hat] [[I F^Z 0], [0 F^X I]]
-    sel = ke.x_col_order[: ke.r - p.b]
-    rest = ke.x_col_order[ke.r - p.b:]
-    t_dd = ke.yp[:, sel]
-    mid = gf16.add(gf16.matmul(t_dd, ke.f_z), gf16.matmul(ke.t_hat, ke.f_x))
-    assert np.array_equal(ke.yp[:, rest], mid)
+    # long side: Y' columns = [T'' T_hat] [[I F^Z 0], [0 F^X I]], read in
+    # the kept basis, whose columns are (identity, then W's)
+    cols = p.b + np.asarray(ke.x_col_order)
+    t_dd = ke.yb[:, cols[: ke.r - p.b]]
+    mid = gf16.add(gf16.matmul(t_dd, ke.f_z), gf16.matmul(ke.yb[:, : p.b], ke.f_x))
+    assert np.array_equal(ke.yb[:, cols[ke.r - p.b:]], mid)
     # short side analogue
     isig = ke.stage * p.sigma
-    sel_j = ke.l_col_order[: ke.r_bar - isig]
-    rest_j = ke.l_col_order[ke.r_bar - isig:]
-    t_dd_j = ke.jp[:, sel_j]
-    mid_j = gf16.add(gf16.matmul(t_dd_j, ke.f_e), gf16.matmul(ke.t_bar_hat, ke.f_a))
-    assert np.array_equal(ke.jp[:, rest_j], mid_j)
+    cols_j = isig + np.asarray(ke.l_col_order)
+    t_dd_j = ke.jb[:, cols_j[: ke.r_bar - isig]]
+    mid_j = gf16.add(gf16.matmul(t_dd_j, ke.f_e), gf16.matmul(ke.jb[:, :isig], ke.f_a))
+    assert np.array_equal(ke.jb[:, cols_j[ke.r_bar - isig:]], mid_j)
 
 
 def test_rank_growth_bound(gf16):
@@ -349,7 +348,7 @@ def test_read_off_matches_reference_extraction():
     # at every stage, what the sink reads off its reduced bases (chosen and
     # remaining columns and expansion coefficients, or None) is what one
     # Gauss-Jordan pass over the greedy row basis of every row received so
-    # far gives, and the rows it returns span the same space
+    # far gives, and the basis it reads spans the same space
     hits = collections.Counter()
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -373,17 +372,19 @@ def test_read_off_matches_reference_extraction():
                     ("short", sink._jb, sink._jpiv, repad_short_rows(shorts, p.m, p.sigma),
                      i * p.sigma, i * p.m)):
                 got = sink._extract_side(kept, pivots, ident, limit)
-                want = extract_side(f, stacked[independent_row_indices(f, stacked)],
-                                    ident, limit)
+                rows = stacked[independent_row_indices(f, stacked)]
+                want = extract_side(f, rows, ident, limit)
                 assert (got is None) == (want is None)
                 if got is None:
                     hits[side, "none"] += 1
                     continue
-                rows, r, chosen, rest, coef = got
-                assert (r, chosen, rest) == want[1:4]
-                assert np.array_equal(coef, want[4])
-                assert rows.shape == want[0].shape
-                assert rank(f, np.vstack([rows, want[0]])) == r
+                r, chosen, rest, coef = got
+                assert (r, chosen, rest) == want[:3]
+                assert np.array_equal(coef, want[3])
+                # the kept basis, identity columns moved back to the end
+                packets = np.roll(kept, -ident, axis=1)
+                assert packets.shape == rows.shape
+                assert rank(f, np.vstack([packets, rows])) == r
                 hits[side, "read off"] += 1
 
     check()
@@ -465,7 +466,7 @@ def test_short_basis_extraction_rate(gf16):
         ke = sink.build_key_equation()
         if ke is not None:
             ok += 1
-            assert rank(gf16, ke.t_bar_hat) == 2 * p.sigma
+            assert rank(gf16, ke.jb[:, : 2 * p.sigma]) == 2 * p.sigma
     assert ok >= 99
 
 

@@ -22,8 +22,9 @@ verdict, on small fields where each of its outcomes occurs.  Every
 stage's fixed costs are pinned as well: a channel use is one product,
 [T | Q] [X; Z], in both channel modes; no stage re-lays out an array
 through ``np.roll``, ``np.hstack`` or ``np.vstack`` (one
-``np.concatenate`` does it); and the random-secret slot map is built
-once per stage shape, not per session.
+``np.concatenate`` does it, and none is made where the random-secret
+sink reads its kept bases); the decoded W is laid out once; and the
+random-secret slot map is built once per stage shape, not per session.
 """
 
 import math
@@ -476,21 +477,55 @@ def test_one_product_per_channel_use(monkeypatch, config):
 @pytest.mark.parametrize("name", ["rs-long-b8", "rs-cutset-b3", "sc-rate-b16"])
 def test_stages_make_no_numpy_relayout_helpers(monkeypatch, name):
     # np.roll, np.hstack and np.vstack are Python-level wrappers around a
-    # copy; every re-layout on the stage path is one np.concatenate
+    # copy; every re-layout on the stage path is one np.concatenate, and
+    # the random-secret sink reads its kept bases in place, so reading the
+    # column bases off them makes none at all.  The decoded W is laid out
+    # once: the array the acceptance check reads is the one returned
     calls = []
-    for helper in ("roll", "hstack", "vstack"):
+    reading = []                # the _extract_side calls open now
+    for helper in ("roll", "hstack", "vstack", "concatenate"):
         real = getattr(np, helper)
 
         def counted(*args, _helper=helper, _real=real, **kwargs):
-            calls.append(_helper)
+            if _helper != "concatenate" or reading:
+                calls.append(_helper)
             return _real(*args, **kwargs)
 
         monkeypatch.setattr(np, helper, counted)
+    reads, checked, returned = [], [], []
+    real_extract = scheme_rs.RsSinkState._extract_side
+    real_blocks_hold = scheme_rs._blocks_hold
+    real_try_decode = scheme_rs.RsSinkState.try_decode
+
+    def extract_side(*args):
+        reads.append(args)
+        reading.append(True)
+        try:
+            return real_extract(*args)
+        finally:
+            reading.pop()
+
+    def blocks_hold(f, ke, w, *rest):
+        checked.append(w)
+        return real_blocks_hold(f, ke, w, *rest)
+
+    def try_decode(sink, ke):
+        out = real_try_decode(sink, ke)
+        returned.append((out.w, checked[-1] if checked else None))
+        return out
+
+    monkeypatch.setattr(scheme_rs.RsSinkState, "_extract_side", extract_side)
+    monkeypatch.setattr(scheme_rs, "_blocks_hold", blocks_hold)
+    monkeypatch.setattr(scheme_rs.RsSinkState, "try_decode", try_decode)
     cfg = load_config(CONFIGS / f"{name}.yaml", {"seed": 1})
     assert not cfg.validate
     records, _ = run_experiment(cfg)
     assert all(r.outcome == "decoded" and r.correct for r in records)
     assert calls == []
+    assert bool(reads) == (cfg.scheme == "random-secret")
+    decoded = [(w, seen) for w, seen in returned if w is not None]
+    assert len(decoded) == (len(records) if cfg.scheme == "random-secret" else 0)
+    assert all(w is seen for w, seen in decoded)
 
 
 def test_l_entry_map_built_once_and_read_only():
