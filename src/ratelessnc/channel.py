@@ -6,6 +6,11 @@ matrices induced by random coding at intermediate nodes.  Two modes are
 provided: matrix mode draws T and Q directly (the level at which the whole
 analysis lives), and hypergraph mode actually pushes coefficient vectors
 through an explicit topology and recovers T, Q from them.
+
+Matrix mode also carries lockstep sessions: given a sequence of generators
+and a stack of packet blocks (a leading batch axis), each session draws
+its own T, Q and Z exactly as it would alone, and Y is formed for the whole
+stack in one product.
 """
 
 from __future__ import annotations
@@ -57,7 +62,7 @@ class StageOutcome:
 
     def injected_errors(self, declared_z: int) -> int:
         """Effective adversary min cut for bookkeeping (0 when silent)."""
-        return min(declared_z, self.Z.shape[0])
+        return min(declared_z, self.Z.shape[-2])
 
     def check_decomposition(self, field: Field, x: np.ndarray) -> None:
         """Assert Y = T X + Q Z exactly for the packets X that were sent."""
@@ -69,15 +74,28 @@ class StageOutcome:
 def _received(field: Field, t: np.ndarray, q: np.ndarray, x: np.ndarray,
               z: np.ndarray) -> np.ndarray:
     """Y = T X + Q Z as the one product [T | Q] [X; Z]."""
-    return field.matmul(np.concatenate([t, q], axis=1), np.concatenate([x, z]))
+    return field.matmul(np.concatenate([t, q], axis=-1), np.concatenate([x, z], axis=-2))
+
+
+def _full_row_rank(field: Field, t: np.ndarray) -> bool:
+    """Whether T has full row rank; for a stack, the verdict its draws
+    share.  The stack is eliminated as one; draws that pivot apart (a
+    zero entry where the others have none) are checked one at a time, as
+    only their verdicts must agree (``linalg.agree``)."""
+    try:
+        return linalg.rank(field, t) == t.shape[-2]
+    except linalg.Stray:
+        return linalg.agree(np.array([linalg.rank(field, m) == t.shape[-2] for m in t]))
 
 
 def sample_transfer(field: Field, params: StageParams,
-                    rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Draw T (M x c, resampled to full row rank M) and Q (M x z, uniform)."""
+                    rng) -> tuple[np.ndarray, np.ndarray]:
+    """Draw T (M x c, resampled to full row rank M) and Q (M x z, uniform).
+    From a sequence of generators, stacks of them, whose sessions redraw
+    together or leave the stack (``_full_row_rank``)."""
     for _ in range(_RETRY_CAP):
         t = field.sample(rng, (params.M, params.c))
-        if linalg.rank(field, t) == params.M:
+        if _full_row_rank(field, t):
             q = field.sample(rng, (params.M, params.z))
             return t, q
     raise RuntimeError(
@@ -96,10 +114,10 @@ def make_errors(field: Field, strategy: AdversaryStrategy, z: int, packet_len: i
     leave its row space.
     """
     if strategy.kind == "none":
-        return linalg.zeros(0, packet_len)
+        return np.zeros(observed.shape[:-2] + (0, packet_len), dtype=np.int64)
     if strategy.kind == "uniform-random":
         return field.sample(rng, (z, packet_len))
-    coeffs = field.sample(rng, (z, observed.shape[0]))
+    coeffs = field.sample(rng, (z, observed.shape[-2]))
     mixed = field.matmul(coeffs, observed)
     return field.add(mixed, field.sample(rng, (z, packet_len)))
 
@@ -111,14 +129,13 @@ class MatrixChannel:
         self.field = field
         self.adversary = adversary
 
-    def __call__(self, params: StageParams, x: np.ndarray,
-                 rng: np.random.Generator) -> StageOutcome:
+    def __call__(self, params: StageParams, x: np.ndarray, rng) -> StageOutcome:
         f = self.field
-        if x.shape[0] != params.c:
-            raise ValueError(f"source emitted {x.shape[0]} packets but c={params.c}")
+        if x.shape[-2] != params.c:
+            raise ValueError(f"source emitted {x.shape[-2]} packets but c={params.c}")
         t, q = sample_transfer(f, params, rng)
-        z = make_errors(f, self.adversary, params.z, x.shape[1], x, rng)
-        q = q[:, : z.shape[0]]
+        z = make_errors(f, self.adversary, params.z, x.shape[-1], x, rng)
+        q = q[..., : z.shape[-2]]
         return StageOutcome(Y=_received(f, t, q, x, z), T=t, Q=q, Z=z)
 
 

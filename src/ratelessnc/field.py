@@ -12,6 +12,14 @@ All operations broadcast like their numpy counterparts and are bit-exact.
 Field objects are immutable after construction, so they are safe to share
 across threads; generator state stays with the caller.
 
+Matrices may come as stacks: a leading batch axis of independent matrices
+of one shape, as the lockstep sessions of ``harness.run_experiment`` hold
+them.  ``matmul`` multiplies stacks matrix by matrix (broadcasting the
+batch axis), ``pivot_step`` pivots every matrix of a stack at the same
+position, and ``sample`` given a sequence of generators draws from each
+what it would draw alone and stacks the draws.  A 2-D input is a single
+matrix, handled as it always was.
+
 Two kernels carry the linear algebra, and both keep the table format
 inside this module:
 
@@ -22,13 +30,15 @@ inside this module:
   into the block) that adds to every row its column-0 entry times row r
   over the pivot p.  Row r's own factor is p + 1 (p XOR 1), which leaves
   it as row r over p, so scaling it takes no gather of its own.  GF(p)
-  does it with int64 arithmetic and one modular inverse by ``pow``.  No
-  per-element field call is made.
+  does it with int64 arithmetic and one gather from a table of inverses.
+  No per-element field call is made.
 * ``matmul``.  In GF(2^w) a product of at most ``_SLAB`` (2^16) entry
   products is one ``take`` from the antilog table over all of them,
-  XOR-reduced over the inner axis.  A larger one loops over its shortest
-  axis and gathers the other two in slabs of whole lines holding at most
-  ``_SLAB`` entries (one line, when a line alone is longer).
+  XOR-reduced over the inner axis; for a stack that counts the products
+  of every matrix in it.  A larger stack is gathered in groups of whole
+  matrices within that size.  A larger single product loops over its
+  shortest axis and gathers the other two in slabs of whole lines holding
+  at most ``_SLAB`` entries (one line, when a line alone is longer).
 
 GF(2^w) keeps one antilog table, stored as ``uint16`` (896 KiB at
 w = 16, where an ``int64`` one takes 3.5 MiB), beside the ``int64`` log
@@ -50,6 +60,7 @@ index leaves ``exp``.
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -81,6 +92,21 @@ _DEFAULT_POLY = {
     15: 0b1000000000000011,
     16: 0b10001000000001011,  # x^16 + x^12 + x^3 + x + 1
 }
+
+
+def _product_shapes(a, b):
+    """``a`` and ``b`` as arrays checked to multiply, and the leading
+    (batch) shape of their product."""
+    a = np.asarray(a)
+    b = np.asarray(b)
+    if a.ndim < 2 or b.ndim < 2:
+        raise ValueError("matmul expects 2-D arrays or stacks of them")
+    if a.shape[-1] != b.shape[-2]:
+        raise ValueError(f"dimension mismatch: {a.shape} @ {b.shape}")
+    lead = a.shape[:-2]
+    if lead != b.shape[:-2]:
+        lead = np.broadcast_shapes(lead, b.shape[:-2])
+    return a, b, lead
 
 
 def _is_prime(n: int) -> bool:
@@ -120,27 +146,38 @@ class Field:
         raise NotImplementedError
 
     def matmul(self, a, b):
-        """Exact matrix product over the field."""
+        """Exact matrix product over the field, of two matrices or of two
+        stacks of them (leading axes broadcast)."""
         raise NotImplementedError
 
     def pivot_step(self, block: np.ndarray, r: int) -> None:
-        """One Gauss-Jordan pivot on ``block`` in place, ``block[r, 0]``
-        nonzero: scale row r so that ``block[r, 0] == 1``, then subtract
-        from every other row its column-0 entry times row r."""
+        """One Gauss-Jordan pivot on ``block`` in place, ``block[..., r, 0]``
+        nonzero: scale row r so that ``block[..., r, 0] == 1``, then
+        subtract from every other row its column-0 entry times row r.  A
+        stack is pivoted matrix by matrix, at the same position."""
         raise NotImplementedError
 
-    def sample(self, rng: np.random.Generator, shape=None):
-        """Uniform element(s) of the field from the given generator."""
+    def sample(self, rng, shape=None):
+        """Uniform element(s) of the field from the given generator.  From a
+        sequence of generators, each one's draw stacked on a leading axis:
+        every generator draws exactly what it would draw alone."""
+        if not isinstance(rng, np.random.Generator):
+            return np.stack([self.sample(g, shape) for g in rng])
         if shape is None:
             return int(rng.integers(0, self.q))
         return rng.integers(0, self.q, size=shape, dtype=self.dtype)
 
     def check_range(self, a, what: str = "symbols") -> None:
-        """Raise ValueError unless ``a`` holds integers in [0, q)."""
+        """Raise ValueError unless ``a`` holds integers in [0, q).  One
+        reduction: the maximum of the unsigned view, where negatives wrap
+        past q (signed types narrower than 32 bits are widened first, since
+        their negatives would wrap below q = 2^16)."""
         a = np.asarray(a)
         if not np.issubdtype(a.dtype, np.integer):
             raise ValueError(f"{what} must have an integer dtype, got {a.dtype}")
-        if a.size and (a.min() < 0 or a.max() >= self.q):
+        if a.dtype.kind == "i" and a.itemsize < 4:
+            a = a.astype(np.int32)
+        if a.size and a.view(f"u{a.itemsize}").max() >= self.q:
             raise ValueError(f"{what} must lie in [0, {self.q})")
 
     def __repr__(self):
@@ -228,21 +265,41 @@ class GF2Field(Field):
         return np.where(a == 0, 0, self._exp.take(e).astype(np.int64))
 
     def matmul(self, a, b):
-        a = np.asarray(a)
-        b = np.asarray(b)
-        if a.ndim != 2 or b.ndim != 2:
-            raise ValueError("matmul expects 2-D arrays")
-        if a.shape[1] != b.shape[0]:
-            raise ValueError(f"dimension mismatch: {a.shape} @ {b.shape}")
-        m, k = a.shape
-        n = b.shape[1]
+        a, b, lead = _product_shapes(a, b)
+        m, k = a.shape[-2:]
+        n = b.shape[-1]
         if k == 0 or m == 0 or n == 0:
-            return np.zeros((m, n), dtype=self.dtype)
-        exp = self._exp
+            return np.zeros(lead + (m, n), dtype=self.dtype)
         la = self._log[a]
         lb = self._log[b]
-        if m * k * n <= _SLAB:
-            return np.bitwise_xor.reduce(exp.take(la[:, :, None] + lb), axis=1).astype(self.dtype)
+        size = m * k * n
+        count = math.prod(lead) if lead else 1
+        if size * count <= _SLAB:
+            return np.bitwise_xor.reduce(self._exp.take(la[..., None] + lb[..., None, :, :]),
+                                         axis=-2).astype(self.dtype)
+        if not lead:
+            return self._slabs(la, lb)
+        # a stack past one gather: groups of whole matrices that fit one,
+        # or one matrix at a time, slabbed, when a single one does not
+        la = np.broadcast_to(la, lead + (m, k)).reshape(count, m, k)
+        lb = np.broadcast_to(lb, lead + (k, n)).reshape(count, k, n)
+        out = np.empty((count, m, n), dtype=self.dtype)
+        h = _SLAB // size
+        if h:
+            for i in range(0, count, h):
+                out[i: i + h] = np.bitwise_xor.reduce(
+                    self._exp.take(la[i: i + h, :, :, None] + lb[i: i + h, None]), axis=-2)
+        else:
+            for i in range(count):
+                out[i] = self._slabs(la[i], lb[i])
+        return out.reshape(lead + (m, n))
+
+    def _slabs(self, la, lb):
+        """The product of one pair of matrices, by entry logs, too large for
+        one gather."""
+        m, k = la.shape
+        n = lb.shape[1]
+        exp = self._exp
         out = np.zeros((m, n), dtype=exp.dtype)
         # loop over the shortest of the three axes: one rank-1 update per
         # inner index (XOR sums commute), or one k-by-long reduction per row
@@ -275,10 +332,15 @@ class GF2Field(Field):
         log f_i + log row r + (q - 1 - log p), below 3(q - 1) with no zero
         factor (the table's periodic part) and at least 3q with one."""
         exp, log = self._exp, self._log
-        lrow = log[block[r]]
-        lf = log[block[:, 0]]
-        lf[r] = log[int(block[r, 0]) ^ 1]
-        block ^= exp.take(lf[:, None] + (lrow + (self.q - 1 - int(lrow[0]))))
+        lrow = log[block[..., r, :]]
+        lf = log[block[..., 0]]
+        if block.ndim > 2:
+            lf[:, r] = log[block[:, r, 0] ^ 1]
+            lf += self.q - 1 - lrow[:, :1]
+        else:  # one matrix: its pivot as a Python int
+            lf[r] = log[int(block[r, 0]) ^ 1]
+            lf += self.q - 1 - int(lrow[0])
+        block ^= exp.take(lf[..., None] + lrow[..., None, :])
 
 
 class PrimeField(Field):
@@ -290,6 +352,7 @@ class PrimeField(Field):
         if p > (1 << 16):
             raise ValueError("prime fields larger than 2^16 are not supported")
         self.q = p
+        self._inverses = self.pow_int(np.arange(p), p - 2)  # 0 maps to 0
 
     def add(self, a, b):
         return (np.asarray(a) + np.asarray(b)) % self.q
@@ -324,27 +387,25 @@ class PrimeField(Field):
         return out
 
     def matmul(self, a, b):
-        a = np.asarray(a, dtype=self.dtype)
-        b = np.asarray(b, dtype=self.dtype)
-        if a.ndim != 2 or b.ndim != 2:
-            raise ValueError("matmul expects 2-D arrays")
-        if a.shape[1] != b.shape[0]:
-            raise ValueError(f"dimension mismatch: {a.shape} @ {b.shape}")
-        if a.shape[1] == 0:
-            return np.zeros((a.shape[0], b.shape[1]), dtype=self.dtype)
+        a, b, lead = _product_shapes(np.asarray(a, dtype=self.dtype),
+                                     np.asarray(b, dtype=self.dtype))
+        if a.shape[-1] == 0:
+            return np.zeros(lead + (a.shape[-2], b.shape[-1]), dtype=self.dtype)
         # entries < 2^16 and inner dim < 2^31, so int64 products cannot overflow
         return (a @ b) % self.q
 
     def pivot_step(self, block, r):
         p = self.q
-        row = block[r]
-        piv = int(row[0])
-        if piv != 1:
-            row *= pow(piv, p - 2, p)
+        row = block[..., r, :]
+        if block.ndim > 2:
+            row *= self._inverses[row[:, :1]]
             row %= p
-        factors = block[:, 0].copy()
-        factors[r] = 0
-        block -= factors[:, None] * row  # entries < 2^16: no int64 overflow
+        elif row[0] != 1:  # one matrix: its pivot as a Python int
+            row *= int(self._inverses[row[0]])
+            row %= p
+        factors = block[..., 0].copy()
+        factors[..., r] = 0
+        block -= factors[..., None] * row[..., None, :]  # entries < 2^16: no overflow
         block %= p
 
 

@@ -5,10 +5,24 @@ Configs are YAML (key-value with nested sections); unknown top-level keys,
 missing or malformed values and every broken stage-parameter rule are
 rejected at load time with a ``ConfigError`` naming the key or the rule.
 Trials are deterministic: trial t draws from generators seeded with
-(seed, t), so identical configs produce byte-identical trials.csv, and
-each trial owns its session state outright, so trials could be fanned out
-to workers without changing results as long as records are re-ordered by
-trial id.
+(seed, t), so identical configs produce byte-identical trials.csv.
+
+``run_trial`` runs one session.  ``run_experiment`` runs random-secret
+trials in lockstep batches when the config allows it: both stage models
+fixed, matrix channel mode, ``validate`` off and at least 2 trials (and
+``run_trial`` not rebound by a wrapper that watches each session).  A
+batch of up to ``BATCH`` trials is one session of the same code on
+stacked arrays (see ``linalg``): every trial keeps its own generators and
+draws exactly what it draws alone, while each kernel call is made once
+for the batch.  The trials of a batch must take every branch together
+(they may swap rows each on its own).  When one would not (another pivot
+column, solve round or status, or transfer-matrix verdict), the batch is
+evicted before it does: every trial of it is run again on its own by
+``run_trial``, which re-seeds from (seed, t), so each record is exactly
+the serial one.  Restarting the batch without the straying trials costs
+more at small fields, where sessions part ways again and again.  Records
+are in trial order; ``Summary.lockstep_evictions`` counts the trials run
+again.  Every other config runs its trials one at a time.
 """
 
 from __future__ import annotations
@@ -26,11 +40,13 @@ import yaml
 
 from .channel import AdversaryStrategy, Hypergraph, HypergraphChannel, MatrixChannel, StageParams
 from .field import Field, get_field
+from .linalg import Stray
 from .records import Decode, TrialRecord
 from .scheme_rs import RsParams, SharedSecret, rs_stages
 from .scheme_sc import SourceMessage, sc_stages
 
 _SECRET_STREAM = 0x5EC
+BATCH = 64       # trials advanced together in one lockstep batch, at most
 
 
 class ConfigError(ValueError):
@@ -351,6 +367,9 @@ class Summary:
     theoretical_rate_bound: float
     wall_clock_seconds: float
     outcome_counts: dict = dc_field(default_factory=dict)
+    # trials re-run alone after their lockstep batch strayed: a diagnostic of
+    # the run, not a field, so summary.json keeps its keys
+    lockstep_evictions = 0
 
 
 def _make_channel(cfg: ExperimentConfig, field: Field):
@@ -359,54 +378,106 @@ def _make_channel(cfg: ExperimentConfig, field: Field):
     return MatrixChannel(field, cfg.adversary)
 
 
-def run_session(stages, msg: SourceMessage, stage_cap: int = 64) -> TrialRecord:
+def run_session(stages, msg: SourceMessage, stage_cap: int = 64):
     """Drive one session's stages until decoded, failed, or the stage cap.
 
     ``stages`` yields ((min cut, injected errors), DecodeResult) per stage,
     as ``sc_stages`` and ``rs_stages`` do; no stage past the cap is run.
+    Returns the session's TrialRecord; for a stacked message (lockstep
+    sessions, which share every stage's verdict) a list of them.
     """
     trace: list[tuple[int, int]] = []
     outcome = "exhausted"
-    correct = False
+    correct = np.zeros(msg.w.shape[:-2], dtype=bool)
     for cut, result in itertools.islice(stages, stage_cap):
         trace.append(cut)
         if result.status is Decode.DECODED:
             outcome = "decoded"
-            correct = bool(np.array_equal(result.w, msg.w))
+            correct = (result.w == msg.w).all(axis=(-2, -1))
             break
         if result.status is Decode.FAILURE:
             outcome = "failure"
             break
     rate = msg.b / len(trace) if outcome == "decoded" else 0.0
-    return TrialRecord(trial=0, stages_used=len(trace), outcome=outcome,
-                       correct=correct, rate=rate, stage_trace=trace)
+    records = [TrialRecord(trial=0, stages_used=len(trace), outcome=outcome,
+                           correct=bool(c), rate=rate, stage_trace=list(trace))
+               for c in correct.flat]
+    return records if correct.ndim else records[0]
 
 
-def run_trial(cfg: ExperimentConfig, field: Field, trial: int,
-              long_channel=None) -> TrialRecord:
-    rng = np.random.default_rng([cfg.seed, trial])
+def _session(cfg: ExperimentConfig, field: Field, trials, long_channel):
+    """Run trial ``trials`` (an int) alone, or a list of trials in lockstep,
+    each with generators seeded from (seed, t); the record(s) as
+    ``run_session`` returns them."""
+    def generators(*stream):
+        if isinstance(trials, list):
+            return [np.random.default_rng([cfg.seed, t, *stream]) for t in trials]
+        return np.random.default_rng([cfg.seed, trials, *stream])
+
+    rng = generators()
     msg = SourceMessage.random(field, cfg.b, cfg.n, rng)
-    if long_channel is None:
-        long_channel = _make_channel(cfg, field)
     if cfg.scheme == "secret-channel":
         stages = sc_stages(field, msg, cfg.stage_model.iterate(rng), long_channel, rng,
                            validate=cfg.validate)
     else:
-        secret = SharedSecret(field, cfg.rs_params,
-                              np.random.default_rng([cfg.seed, trial, _SECRET_STREAM]))
+        secret = SharedSecret(field, cfg.rs_params, generators(_SECRET_STREAM))
         schedule = zip(cfg.stage_model.iterate(rng), cfg.short_stage_model.iterate(rng))
         stages = rs_stages(field, cfg.rs_params, msg, secret, schedule, long_channel,
                            MatrixChannel(field, cfg.adversary), rng, validate=cfg.validate)
-    record = run_session(stages, msg, cfg.stage_cap)
+    return run_session(stages, msg, cfg.stage_cap)
+
+
+def run_trial(cfg: ExperimentConfig, field: Field, trial: int,
+              long_channel=None) -> TrialRecord:
+    if long_channel is None:
+        long_channel = _make_channel(cfg, field)
+    record = _session(cfg, field, trial, long_channel)
     record.trial = trial
     return record
+
+
+_RUN_TRIAL = run_trial
+
+
+def _lockstep(cfg: ExperimentConfig) -> bool:
+    """Whether ``run_experiment`` runs the config's trials in lockstep.
+    Not while ``run_trial`` is rebound (a wrapper that times or inspects
+    each session, such as the benchmark's tracer): such a wrapper expects
+    to see every session, one 2-D session at a time."""
+    return (cfg.scheme == "random-secret" and cfg.topology is None and not cfg.validate
+            and isinstance(cfg.stage_model, FixedStageModel)
+            and isinstance(cfg.short_stage_model, FixedStageModel)
+            and cfg.trials >= 2 and run_trial is _RUN_TRIAL)
+
+
+def _run_batch(cfg: ExperimentConfig, field: Field, channel,
+               trials: list[int]) -> tuple[list[TrialRecord], int]:
+    """Records of the given trials, in their order, and how many of them
+    were run again alone: one lockstep session of them all or, once any
+    of them would leave the shared path (``Stray``), every one of them."""
+    try:
+        records = _session(cfg, field, trials, channel)
+    except Stray:
+        return [run_trial(cfg, field, t, long_channel=channel) for t in trials], len(trials)
+    for t, record in zip(trials, records):
+        record.trial = t
+    return records, 0
 
 
 def run_experiment(cfg: ExperimentConfig) -> tuple[list[TrialRecord], Summary]:
     t0 = time.perf_counter()
     field = get_field(cfg.field_name)
     channel = _make_channel(cfg, field)
-    records = [run_trial(cfg, field, t, long_channel=channel) for t in range(cfg.trials)]
+    evictions = 0
+    if _lockstep(cfg):
+        records = []
+        for start in range(0, cfg.trials, BATCH):
+            batch, rerun = _run_batch(cfg, field, channel,
+                                      list(range(start, min(start + BATCH, cfg.trials))))
+            records += batch
+            evictions += rerun
+    else:
+        records = [run_trial(cfg, field, t, long_channel=channel) for t in range(cfg.trials)]
 
     counts: dict[str, int] = {}
     silent = 0
@@ -430,6 +501,7 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[list[TrialRecord], Summary]:
         wall_clock_seconds=time.perf_counter() - t0,
         outcome_counts=counts,
     )
+    summary.lockstep_evictions = evictions
     return records, summary
 
 

@@ -4,7 +4,20 @@ Matrices are 2-D numpy int64 arrays of field elements; every routine takes
 the field object first, mirroring how the arithmetic is dispatched (products
 are ``Field.matmul``, pivots ``Field.pivot_step``).  Every elimination is
 ``_gauss_jordan``, which jumps over columns that hold no pivot instead of
-visiting them one at a time.  This module provides:
+visiting them one at a time.
+
+``_gauss_jordan``, ``rank``, ``extend_rref``, ``solve_exact``,
+``vandermonde`` and the (de)vectorization helpers also take stacks: a
+leading batch axis of independent matrices of one shape, which are
+eliminated together, one ``pivot_step`` per pivot for the whole stack.
+Every matrix of a stack must take the same branches: the same pivot
+columns (each swaps rows on its own), the same ``solve_exact`` rounds and
+status.  Each such branch is taken through ``agree``, which raises
+``Stray`` marking the matrices that would branch otherwise, before any of
+them does; the caller leaves the shared path (``harness.run_experiment``
+re-runs the batch's sessions one at a time).  Pivot lists, ranks and
+statuses are then one per stack.
+This module provides:
 
 * ``extend_rref`` -- grow a reduced row echelon form by a block of new
   rows, which is how both sinks keep their observations: the new rows
@@ -46,13 +59,52 @@ def eye(n: int) -> np.ndarray:
     return np.eye(n, dtype=np.int64)
 
 
+class Stray(Exception):
+    """Some matrices of a stack would take another branch than the rest;
+    ``mask`` marks them.  Raised before the branch is taken."""
+
+    def __init__(self, mask: np.ndarray):
+        super().__init__(f"{int(mask.sum())} of {mask.size} stacked matrices leave the shared path")
+        self.mask = mask
+
+
+def agree(values):
+    """The branch value every matrix of a stack takes (a numpy array with
+    one entry per matrix), as a Python scalar; a single matrix's value (a
+    numpy scalar) as it is.  Raises ``Stray`` marking the matrices whose
+    value differs from the most common one."""
+    if not values.ndim:
+        return values.item()
+    first = values.flat[0]
+    if (values == first).all():
+        return first.item()
+    kinds, counts = np.unique(values, return_counts=True)
+    raise Stray(values != kinds[counts.argmax()])
+
+
+def _next_pivot(work: np.ndarray, r: int, c: int, limit: int):
+    """Column and row of the next pivot when ``work[..., r, c]`` is not one:
+    the leftmost column in [c, limit) with a nonzero entry at or below row
+    r, and its first such row; (limit, r) when no column has one.  In a
+    stack the column is the one every matrix takes (``agree``) and the
+    row is each matrix's own, an array."""
+    held = work[..., r:, c:limit].any(axis=-2)
+    jump = agree(held.argmax(axis=-1))
+    if not agree(held[..., jump]):
+        return limit, r
+    c += jump
+    return c, r + (work[..., r:, c] != 0).argmax(axis=-1)
+
+
 def _gauss_jordan(field: Field, work: np.ndarray, pivot_limit: int) -> list[int]:
-    """In-place Gauss-Jordan elimination of ``work``.
+    """In-place Gauss-Jordan elimination of ``work``, a matrix or a stack.
 
     Pivots are searched in columns [0, pivot_limit) only, taking the first
     nonzero entry top-to-bottom in the leftmost unresolved column; columns
     beyond the limit ride along (augmented part).  Returns pivot columns in
-    order; afterwards pivot rows sit at the top in pivot-column order.
+    order (one list for a whole stack); afterwards pivot rows sit at the
+    top in pivot-column order.  The matrices of a stack share the pivot
+    columns but swap rows each on its own, as each would alone.
 
     A column with no nonzero entry at or below the next pivot row is not
     visited on its own: one ``any`` over the rest of the searched block
@@ -60,22 +112,21 @@ def _gauss_jordan(field: Field, work: np.ndarray, pivot_limit: int) -> list[int]
     left.  Each pivot is one in-place ``Field.pivot_step`` on the columns
     from the pivot on (entries left of it are already settled).
     """
-    rows = work.shape[0]
+    rows = work.shape[-2]
+    stack = work.ndim > 2
     pivots: list[int] = []
     r = c = 0
     while r < rows and c < pivot_limit:
-        if not work[r, c]:
-            below = work[r:, c].nonzero()[0]
-            if not below.size:
-                ahead = work[r:, c + 1: pivot_limit].any(axis=0).nonzero()[0]
-                if not ahead.size:
-                    break
-                c += 1 + int(ahead[0])
-                below = work[r:, c].nonzero()[0]
-            p = r + int(below[0])
-            if p != r:
+        if not (work[:, r, c].all() if stack else work[r, c]):
+            c, p = _next_pivot(work, r, c, pivot_limit)
+            if c == pivot_limit:
+                break
+            if stack:
+                k = np.flatnonzero(p != r)
+                work[k, r], work[k, p[k]] = work[k, p[k]], work[k, r]
+            elif p != r:
                 work[[r, p]] = work[[p, r]]
-        field.pivot_step(work[:, c:], r)
+        field.pivot_step(work[..., c:], r)
         pivots.append(c)
         r += 1
         c += 1
@@ -107,8 +158,9 @@ def rref_with_transform(field: Field, a: np.ndarray) -> RrefResult:
 
 
 def rank(field: Field, a: np.ndarray) -> int:
+    """Rank of a matrix, or the one rank of every matrix of a stack."""
     work = np.asarray(a).astype(np.int64, copy=True)
-    return len(_gauss_jordan(field, work, work.shape[1]))
+    return len(_gauss_jordan(field, work, work.shape[-1]))
 
 
 def extend_rref(field: Field, rref: np.ndarray, pivots: list[int],
@@ -120,16 +172,18 @@ def extend_rref(field: Field, rref: np.ndarray, pivots: list[int],
     what is left of them is eliminated on its own, taking at most one
     pivot per new row; one more product clears the new pivot columns from
     the kept rows.  Returns the merged rows in pivot-column order and
-    their pivots: the unique reduced form of the stacked rows."""
-    rows = field.sub(rows, field.matmul(np.asarray(rows)[:, pivots], rref))
-    new = _gauss_jordan(field, rows, rows.shape[1])
+    their pivots: the unique reduced form of the stacked rows.  Stacks
+    share ``pivots``."""
+    rows = field.sub(rows, field.matmul(np.asarray(rows)[..., pivots], rref))
+    new = _gauss_jordan(field, rows, rows.shape[-1])
     if not new:
         return rref, pivots
-    fresh = rows[: len(new)]
-    rref = field.sub(rref, field.matmul(rref[:, new], fresh))
+    fresh = rows[..., : len(new), :]
+    rref = field.sub(rref, field.matmul(rref[..., new], fresh))
     merged = pivots + new
     order = np.argsort(merged, kind="stable")
-    return np.concatenate([rref, fresh])[order], [merged[j] for j in order]
+    return (np.concatenate([rref, fresh], axis=-2)[..., order, :],
+            [merged[j] for j in order])
 
 
 class SolveStatus(enum.Enum):
@@ -161,33 +215,37 @@ def solve_exact(field: Field, a: np.ndarray, rhs: np.ndarray) -> SolveOutcome:
     the rank still short, the system is MULTIPLE.  Status and solution
     are those of a full elimination; when the first cols + 1 rows have
     full rank, each pivot updates those rows only, not every row.
+
+    A stack of systems (``a`` of shape (B, rows, cols), ``rhs`` of (B,
+    rows) or (B, rows, k)) gets one status and a stack of solutions; the
+    systems must agree on every round and on the status (``agree``).
     """
     a = np.asarray(a)
     rhs = np.asarray(rhs)
-    vec = rhs.ndim == 1
+    vec = rhs.ndim == a.ndim - 1
     if vec:
-        rhs = rhs[:, None]
-    if a.shape[0] != rhs.shape[0]:
+        rhs = rhs[..., None]
+    if a.shape[:-1] != rhs.shape[:-1]:
         raise ValueError(f"dimension mismatch: {a.shape} vs rhs {rhs.shape}")
-    rows, cols = a.shape
-    work = np.concatenate([a, rhs], axis=1).astype(np.int64, copy=False)
-    basis, done, lead = work[:0], 0, min(rows, cols + 1)
+    rows, cols = a.shape[-2:]
+    work = np.concatenate([a, rhs], axis=-1).astype(np.int64, copy=False)
+    basis, done, lead = work[..., :0, :], 0, min(rows, cols + 1)
     while True:
-        block = np.concatenate([basis, work[done:lead]])
+        block = np.concatenate([basis, work[..., done:lead, :]], axis=-2)
         r = len(_gauss_jordan(field, block, cols))
-        if np.any(block[r:, cols:]):
+        if agree(block[..., r:, cols:].any(axis=(-2, -1))):
             return SolveOutcome(SolveStatus.NO_SOLUTION)
-        basis = block[:r]
+        basis = block[..., :r, :]
         if r == cols or lead == rows:
             break
         done, lead = lead, min(rows, 2 * lead)
     if r < cols:
         return SolveOutcome(SolveStatus.MULTIPLE)
-    x = basis[:, cols:]
-    if lead < rows and np.any(field.sub(field.matmul(work[lead:, :cols], x),
-                                        work[lead:, cols:])):
+    x = basis[..., cols:]
+    if lead < rows and agree(field.sub(field.matmul(work[..., lead:, :cols], x),
+                                       work[..., lead:, cols:]).any(axis=(-2, -1))):
         return SolveOutcome(SolveStatus.NO_SOLUTION)
-    return SolveOutcome(SolveStatus.UNIQUE, x[:, 0] if vec else x)
+    return SolveOutcome(SolveStatus.UNIQUE, x[..., 0] if vec else x)
 
 
 def solve_in_row_space(field: Field, y: np.ndarray, dm: np.ndarray, h: np.ndarray) -> SolveOutcome:
@@ -225,31 +283,38 @@ def vandermonde(field: Field, points, num_rows: int) -> np.ndarray:
     """Matrix with entry (k, j) = points[j] ** (k+1), k in [0, num_rows).
 
     One column per evaluation point; exponents run 1..num_rows.  The rows
-    are built by doubling, in ceil(log2 num_rows) products.
+    are built by doubling, in ceil(log2 num_rows) products.  A stack of
+    point vectors, shape (B, P), gives a stack of matrices.
     """
     if num_rows < 1:
         raise ValueError("num_rows must be >= 1")
-    out = np.empty((num_rows, np.size(points)), dtype=np.int64)
-    out[0] = points
+    points = np.asarray(points)
+    out = np.empty(points.shape[:-1] + (num_rows, points.shape[-1]), dtype=np.int64)
+    out[..., 0, :] = points
     # rows [h, 2h) are rows [0, h) times points**h, which is row h-1
     h = 1
     while h < num_rows:
         t = min(h, num_rows - h)
-        out[h: h + t] = field.mul(out[:t], out[h - 1])
+        out[..., h: h + t, :] = field.mul(out[..., :t, :], out[..., h - 1: h, :])
         h += t
     return out
 
 
 def vectorize(m: np.ndarray) -> np.ndarray:
-    """Stack the columns of m into one vector (column-major order)."""
-    return np.asarray(m).flatten(order="F")
+    """Stack the columns of m into one vector (column-major order); a new
+    array.  A stack of matrices gives a stack of vectors."""
+    m = np.asarray(m)
+    return m.swapaxes(-1, -2).copy().reshape(m.shape[:-2] + (-1,))
 
 
 def devectorize(v: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """The rows x cols matrix whose columns are the vector's runs (a view);
+    a stack of vectors gives a stack of matrices."""
     v = np.asarray(v)
-    if v.size != rows * cols:
-        raise ValueError(f"cannot reshape length-{v.size} vector to {rows}x{cols}")
-    return v.reshape((rows, cols), order="F")
+    length = v.shape[-1] if v.ndim else 1
+    if length != rows * cols:
+        raise ValueError(f"cannot reshape length-{length} vector to {rows}x{cols}")
+    return v.reshape(v.shape[:-1] + (cols, rows)).swapaxes(-1, -2)
 
 
 class IncrementalReducer:

@@ -38,6 +38,17 @@ Positional bookkeeping of the dummy padding is the delicate part: the same
 index map (``l_entry_map``) drives the dummy-slot constraints, the scatter
 of suffix unknowns into parity rows and the ground-truth layout of
 ``truth_vector``.
+
+The encoder, the sink and the decoder also run lockstep sessions: built on
+a secret drawn from a sequence of generators (one per session), they hold
+every packet block, basis, key-equation block and candidate as a stack
+with a leading batch axis, and the same code, indexing with ``...``, does
+each step for the whole stack.  What depends only on pivots is held once:
+the basis pivots, the chosen and remaining columns, the kept slots and
+their suffix indices, the message unknowns' order.  Every session of the
+stack takes every branch together (``linalg.agree``), or the ones that
+would not are marked by ``linalg.Stray`` before it is taken.  Validation
+runs on single sessions only.
 """
 
 from __future__ import annotations
@@ -99,12 +110,15 @@ class SharedSecret:
 
     Only the symbols are kept, (points, targets) per stage: the parity
     block D_k, entry (i, j) = d_i^(j+1), is a function of the points and is
-    evaluated wherever it is read, never stored."""
+    evaluated wherever it is read, never stored.  Given a sequence of
+    generators, the secrets of that many lockstep sessions, each stage's
+    symbols stacked; ``lead`` is the stack's (batch) shape."""
 
-    def __init__(self, field: Field, params: RsParams, rng: np.random.Generator):
+    def __init__(self, field: Field, params: RsParams, rng):
         self.field = field
         self.params = params
         self._rng = rng
+        self.lead = () if isinstance(rng, np.random.Generator) else (len(rng),)
         self._stages: list[tuple[np.ndarray, np.ndarray]] = []
 
     @classmethod
@@ -136,13 +150,14 @@ class SharedSecret:
 
     @property
     def consumed_symbols(self) -> int:
-        return sum(2 * d.size for d, _ in self._stages)
+        """Symbols drawn so far, per session."""
+        return sum(2 * d.shape[-1] for d, _ in self._stages)
 
     def stacked(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         """Points and targets of stages 1..i, each concatenated."""
         stages = [self.stage(k) for k in range(1, i + 1)]
-        return (np.concatenate([d for d, _ in stages]),
-                np.concatenate([h for _, h in stages]))
+        return (np.concatenate([d for d, _ in stages], axis=-1),
+                np.concatenate([h for _, h in stages], axis=-1))
 
 
 def _parity_times(field: Field, points: np.ndarray, w_vec: np.ndarray) -> np.ndarray:
@@ -150,16 +165,18 @@ def _parity_times(field: Field, points: np.ndarray, w_vec: np.ndarray) -> np.nda
     by baby and giant steps: with s = ceil(sqrt(len(w))) and w cut into
     rows of s, one product with the s baby rows p^1 .. p^s gives each
     row's sum, and Horner steps in p^s add them up.  No power past p^s is
-    evaluated, so the largest temporary is s x len(points)."""
-    s = math.isqrt(w_vec.size - 1) + 1
-    giant_rows = -(-w_vec.size // s)
-    blocks = np.zeros(giant_rows * s, dtype=np.int64)
-    blocks[: w_vec.size] = w_vec
+    evaluated, so the largest temporary is s x len(points).  Stacked
+    points and vectors give stacked values."""
+    nb = w_vec.shape[-1]
+    s = math.isqrt(nb - 1) + 1
+    giant_rows = -(-nb // s)
+    blocks = np.zeros(w_vec.shape[:-1] + (giant_rows * s,), dtype=np.int64)
+    blocks[..., :nb] = w_vec
     baby = linalg.vandermonde(field, points, s)
-    sums = field.matmul(blocks.reshape(giant_rows, s), baby)
-    acc = sums[-1]
-    for row in sums[-2::-1]:
-        acc = field.add(field.mul(acc, baby[-1]), row)
+    sums = field.matmul(blocks.reshape(blocks.shape[:-1] + (giant_rows, s)), baby)
+    acc = sums[..., -1, :]
+    for g in range(giant_rows - 2, -1, -1):
+        acc = field.add(field.mul(acc, baby[..., -1, :]), sums[..., g, :])
     return acc
 
 
@@ -167,8 +184,8 @@ def rs_make_suffix(field: Field, w_vec: np.ndarray, secret: SharedSecret,
                    k: int) -> np.ndarray:
     """The stage-k suffix vector l_k = h_k - D_k w."""
     p = secret.params
-    if w_vec.size != p.n * p.b:
-        raise ValueError(f"message vector length {w_vec.size} != n*b = {p.n * p.b}")
+    if w_vec.shape[-1] != p.n * p.b:
+        raise ValueError(f"message vector length {w_vec.shape[-1]} != n*b = {p.n * p.b}")
     d_k, h_k = secret.stage(k)
     return field.sub(h_k, _parity_times(field, d_k, w_vec))
 
@@ -201,21 +218,22 @@ def assemble_staircase(params: RsParams, suffixes: list[np.ndarray]) -> np.ndarr
     width i*(m + sigma)."""
     i = len(suffixes)
     m, sigma = params.m, params.sigma
-    out = linalg.zeros(i * sigma, i * (m + sigma))
+    out = np.zeros(suffixes[0].shape[:-1] + (i * sigma, i * (m + sigma)), dtype=np.int64)
     for k, l_k in enumerate(suffixes, start=1):
-        out[(k - 1) * sigma: k * sigma, : k * m] = linalg.devectorize(l_k, sigma, k * m)
-    out[:, i * m:] = linalg.eye(i * sigma)
+        out[..., (k - 1) * sigma: k * sigma, : k * m] = linalg.devectorize(l_k, sigma, k * m)
+    out[..., i * m:] = linalg.eye(i * sigma)
     return out
 
 
 def _identity_first(packets: np.ndarray, ident_cols: int) -> np.ndarray:
     """The packets with their trailing ``ident_cols`` identity columns
     moved to the front."""
-    return np.concatenate([packets[:, -ident_cols:], packets[:, :-ident_cols]], axis=1)
+    return np.concatenate([packets[..., -ident_cols:], packets[..., :-ident_cols]], axis=-1)
 
 
 class RsEncoder:
-    """Stage-sequential encoder for one session."""
+    """Stage-sequential encoder for one session, or for a stack of lockstep
+    sessions (a stacked message and secret, and one generator each)."""
 
     def __init__(self, field: Field, params: RsParams, msg: SourceMessage,
                  secret: SharedSecret):
@@ -230,7 +248,7 @@ class RsEncoder:
         self.suffixes: list[np.ndarray] = []
 
     def encode_stage(self, i: int, c_i: int, cbar_i: int,
-                     rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+                     rng) -> tuple[np.ndarray, np.ndarray]:
         """Long packets X_i = K_i X0 and short packets A_i = G_i L^(i)."""
         if i != len(self.suffixes) + 1:
             raise ValueError(f"stages must be encoded in order; expected {len(self.suffixes) + 1}")
@@ -278,7 +296,8 @@ class KeyEquation:
 
 class RsSinkState:
     """Both observation stacks kept in reduced row echelon form, identity
-    columns first, and the decoder."""
+    columns first, and the decoder; for one session or, on a stacked
+    secret, for a stack of lockstep sessions with one pivot list."""
 
     def __init__(self, field: Field, params: RsParams, secret: SharedSecret):
         params.check_field(field)
@@ -288,20 +307,26 @@ class RsSinkState:
         self.stage = 0
         # long basis over columns (n..n+b, 0..n); short basis over the
         # i*sigma identity columns, then the i*m L columns
-        self._yb, self._ypiv = linalg.zeros(0, params.n + params.b), []
-        self._jb, self._jpiv = linalg.zeros(0, 0), []
+        lead = secret.lead
+        self._yb, self._ypiv = np.zeros(lead + (0, params.n + params.b), dtype=np.int64), []
+        self._jb, self._jpiv = np.zeros(lead + (0, 0), dtype=np.int64), []
 
     def ingest(self, y_i: np.ndarray, j_i: np.ndarray) -> None:
         p = self.params
         i = self.stage + 1
-        if y_i.ndim != 2 or j_i.ndim != 2:
+        lead = self._yb.shape[:-2]
+        dims = len(lead) + 2
+        if y_i.ndim != dims or j_i.ndim != dims:
             raise ValueError(
-                f"packet blocks must be 2-D, got long {y_i.ndim}-D and short {j_i.ndim}-D")
-        if y_i.shape[1] != p.n + p.b:
-            raise ValueError(f"long packet width {y_i.shape[1]} != n+b = {p.n + p.b}")
-        if j_i.shape[1] != i * (p.m + p.sigma):
+                f"packet blocks must be {dims}-D, got long {y_i.ndim}-D and short {j_i.ndim}-D")
+        if y_i.shape[:-2] != lead or j_i.shape[:-2] != lead:
+            raise ValueError(f"packet blocks stack {y_i.shape[:-2]} and {j_i.shape[:-2]} "
+                             f"sessions, the sink {lead}")
+        if y_i.shape[-1] != p.n + p.b:
+            raise ValueError(f"long packet width {y_i.shape[-1]} != n+b = {p.n + p.b}")
+        if j_i.shape[-1] != i * (p.m + p.sigma):
             raise ValueError(
-                f"short packet width {j_i.shape[1]} != i*(m+sigma) = {i * (p.m + p.sigma)}"
+                f"short packet width {j_i.shape[-1]} != i*(m+sigma) = {i * (p.m + p.sigma)}"
             )
         f = self.field
         f.check_range(y_i, "long packet symbols")
@@ -314,9 +339,9 @@ class RsSinkState:
         # reduced form, shifting the pivots past the inserted identity block
         cut = (i - 1) * p.sigma
         old = self._jb
-        jb = linalg.zeros(old.shape[0], j_i.shape[1])
-        jb[:, :cut] = old[:, :cut]
-        jb[:, cut + p.sigma: -p.m] = old[:, cut:]
+        jb = np.zeros(old.shape[:-1] + j_i.shape[-1:], dtype=np.int64)
+        jb[..., :cut] = old[..., :cut]
+        jb[..., cut + p.sigma: -p.m] = old[..., cut:]
         jpiv = [c if c < cut else c + p.sigma for c in self._jpiv]
         self._jb, self._jpiv = linalg.extend_rref(
             f, jb, jpiv, _identity_first(j_i, i * p.sigma))
@@ -340,7 +365,7 @@ class RsSinkState:
             return None  # trailing identity image degenerate this stage
         chosen = [c - ident_cols for c in pivots[ident_cols:]]
         rest = sorted(set(range(scan_limit)) - set(chosen))
-        return rref.shape[0], chosen, rest, rref[:, [ident_cols + c for c in rest]]
+        return rref.shape[-2], chosen, rest, rref[..., [ident_cols + c for c in rest]]
 
     def build_key_equation(self) -> KeyEquation | None:
         """Read both column bases off the kept bases and collect the key
@@ -371,7 +396,8 @@ class RsSinkState:
             stage=i, r=r, r_bar=r_bar, beta=n + b - r, gamma=i * (p.m + p.sigma) - r_bar,
             x_col_order=x_col_order, l_col_order=l_col_order,
             kept_mask=kept_mask, l_kept_idx=slot_idx[kept_mask],
-            f_z=coef_y[b:], f_x=coef_y[:b], f_e=coef_j[isig:], f_a=coef_j[:isig],
+            f_z=coef_y[..., b:, :], f_x=coef_y[..., :b, :],
+            f_e=coef_j[..., isig:, :], f_a=coef_j[..., :isig, :],
             yb=self._yb, jb=self._jb,
             xperm=(b * np.asarray(x_col_order)[:, None] + np.arange(b)).reshape(-1),
             points=points, targets=targets,
@@ -405,6 +431,7 @@ class RsSinkState:
         f = self.field
         p = self.params
         b, nb = p.b, p.n * p.b
+        lead = ke.yb.shape[:-2]
         isig = ke.stage * p.sigma
         r, r_bar, gamma = ke.r, ke.r_bar, ke.gamma
         theta_a = b * (r - b)
@@ -422,52 +449,56 @@ class RsSinkState:
             # D_b vec(X_a F_z) is one F_z product over D_b's columns
             # regrouped by X_b column; the rows are evaluated at their
             # points with their columns in the unknowns' order
-            d = linalg.vandermonde(f, ke.points[rows], nb)[ke.xperm].T
-            d_a, d_b = d[:, :theta_a], d[:, theta_a:]
-            cnt = d.shape[0]
-            d_b_fz = f.matmul(ke.f_z, d_b.reshape(cnt, ke.beta, b).transpose(1, 0, 2)
-                              .reshape(ke.beta, cnt * b))
-            a_x = f.add(d_a, d_b_fz.reshape(r - b, cnt, b).transpose(1, 0, 2)
-                        .reshape(cnt, theta_a))
-            c = f.sub(ke.targets[rows], f.matmul(d_b, f_x_vec[:, None])[:, 0])
-            return np.concatenate([f.neg(a_x), c[:, None]], axis=1)
+            d = (linalg.vandermonde(f, ke.points[..., rows], nb)[..., ke.xperm, :]
+                 .swapaxes(-1, -2))
+            d_a, d_b = d[..., :theta_a], d[..., theta_a:]
+            cnt = d.shape[-2]
+            d_b_fz = f.matmul(ke.f_z, d_b.reshape(lead + (cnt, ke.beta, b)).swapaxes(-3, -2)
+                              .reshape(lead + (ke.beta, cnt * b)))
+            a_x = f.add(d_a, d_b_fz.reshape(lead + (r - b, cnt, b)).swapaxes(-3, -2)
+                        .reshape(lead + (cnt, theta_a)))
+            c = f.sub(ke.targets[..., rows], f.matmul(d_b, f_x_vec[..., None])[..., 0])
+            return np.concatenate([f.neg(a_x), c[..., None]], axis=-1)
 
         g = min(gamma, -(-2 * theta_a // isig))
         read_b = int(kept_b[: g * isig].sum())
         aff = l_aff(np.concatenate([rows_a, rows_b[:read_b]]))
-        l_aff_a, want_b = aff[:la_cnt], aff[la_cnt:]
+        l_aff_a, want_b = aff[..., :la_cnt, :], aff[..., la_cnt:, :]
         # vec(L_a) with its dummy slots zero, pushed through vec(Z) -> vec(Z F_e)
-        la_aff = linalg.zeros(n_basis_slots, theta_a + 1)
-        la_aff[kept_a] = l_aff_a
-        la_aff = la_aff.reshape(r_bar - isig, isig * (theta_a + 1))
+        la_aff = np.zeros(lead + (n_basis_slots, theta_a + 1), dtype=np.int64)
+        la_aff[..., kept_a, :] = l_aff_a
+        la_aff = la_aff.reshape(lead + (r_bar - isig, isig * (theta_a + 1)))
         f_a_vec = linalg.vectorize(ke.f_a)
+        f_e_t = ke.f_e.swapaxes(-1, -2)
 
         def solve_leading(g: int, want_b):
             # rows of the leading g L_b columns: row c*isig + s is slot s of column c
             rows = g * isig
-            lb_aff = f.matmul(ke.f_e.T[:g], la_aff).reshape(rows, theta_a + 1)
-            lb_aff[:, theta_a] = f.add(lb_aff[:, theta_a], f_a_vec[:rows])
+            lb_aff = f.matmul(f_e_t[..., :g, :], la_aff).reshape(lead + (rows, theta_a + 1))
+            lb_aff[..., theta_a] = f.add(lb_aff[..., theta_a], f_a_vec[..., :rows])
             # ... must equal the parity value on kept slots and zero on dummy ones
-            want = linalg.zeros(rows, theta_a + 1)
-            want[kept_b[:rows]] = want_b
+            want = np.zeros(lead + (rows, theta_a + 1), dtype=np.int64)
+            want[..., kept_b[:rows], :] = want_b
             diff = f.sub(lb_aff, want)
-            return linalg.solve_exact(f, diff[:, :theta_a], f.neg(diff[:, theta_a]))
+            return linalg.solve_exact(f, diff[..., :theta_a], f.neg(diff[..., theta_a]))
 
         out = solve_leading(g, want_b)
         if out.status is SolveStatus.MULTIPLE and g < gamma:
             g = gamma
-            out = solve_leading(g, np.concatenate([want_b, l_aff(rows_b[read_b:])]))
+            out = solve_leading(g, np.concatenate([want_b, l_aff(rows_b[read_b:])], axis=-2))
         if out.status is not SolveStatus.UNIQUE:
             return unsolved(out.status)
 
         x_a = linalg.devectorize(out.solution, b, r - b)
         x_b = f.add(f.matmul(x_a, ke.f_z), ke.f_x)
-        l_a = np.zeros(n_basis_slots, dtype=np.int64)
-        l_a[kept_a] = f.matmul(l_aff_a, np.append(out.solution, 1)[:, None])[:, 0]
+        l_a = np.zeros(lead + (n_basis_slots,), dtype=np.int64)
+        # [-A_x | c] applied to (x_a, 1): A_x x_a is subtracted from c
+        l_a[..., kept_a] = f.add(f.matmul(l_aff_a[..., :theta_a], out.solution[..., None])[..., 0],
+                                 l_aff_a[..., theta_a])
         l_a = linalg.devectorize(l_a, isig, r_bar - isig)
         l_b = f.add(f.matmul(l_a, ke.f_e), ke.f_a)
-        w_hat = linalg.zeros(b, p.n)
-        w_hat[:, ke.x_col_order] = np.concatenate([x_a, x_b], axis=1)
+        w_hat = np.zeros(lead + (b, p.n), dtype=np.int64)
+        w_hat[..., ke.x_col_order] = np.concatenate([x_a, x_b], axis=-1)
         if not _blocks_hold(f, ke, w_hat, l_a, l_b):
             if g < gamma:  # an unread row excludes the only candidate
                 return unsolved(SolveStatus.NO_SOLUTION)
@@ -483,14 +514,14 @@ def _blocks_hold(f: Field, ke: KeyEquation, w, l_a, l_b) -> bool:
     ``try_decode`` forms, since it sets X_b = X_a F_z + F_x and
     L_b = L_a F_e + F_a, so they are not checked.  D x is formed as
     D vec(W), with D evaluated at every parity point for this product
-    only."""
-    l_slots = np.concatenate([linalg.vectorize(l_a), linalg.vectorize(l_b)])
-    if np.any(l_slots[~ke.kept_mask]):
+    only.  For a stack, the one verdict of every candidate in it."""
+    l_slots = np.concatenate([linalg.vectorize(l_a), linalg.vectorize(l_b)], axis=-1)
+    if linalg.agree(l_slots[..., ~ke.kept_mask].any(axis=-1)):
         return False
-    l_sfx = np.zeros(ke.points.size, dtype=np.int64)
-    l_sfx[ke.l_kept_idx] = l_slots[ke.kept_mask]
-    return np.array_equal(f.add(_parity_times(f, ke.points, linalg.vectorize(w)), l_sfx),
-                          ke.targets)
+    l_sfx = np.zeros(ke.targets.shape, dtype=np.int64)
+    l_sfx[..., ke.l_kept_idx] = l_slots[..., ke.kept_mask]
+    held = f.add(_parity_times(f, ke.points, linalg.vectorize(w)), l_sfx) == ke.targets
+    return linalg.agree(held.all(axis=-1))
 
 
 def dense_key_equation(ke: KeyEquation, secret: SharedSecret) -> tuple[np.ndarray, np.ndarray]:
@@ -546,7 +577,9 @@ def rs_stages(field: Field, params: RsParams, msg: SourceMessage,
               secret: SharedSecret, schedule, long_channel, short_channel,
               rng: np.random.Generator, validate: bool = False):
     """Run the stages of one random-secret session, yielding
-    ((long M, injected long z), DecodeResult) per stage.
+    ((long M, injected long z), DecodeResult) per stage; or of a lockstep
+    batch, given a stacked message and secret and one generator per
+    session, yielding one verdict for the batch per stage.
 
     ``schedule`` yields (long StageParams, short StageParams) pairs; long
     and short packets traverse independent channel instances.  The stage

@@ -41,18 +41,23 @@ from .records import Decode, DecodeResult, unsolved
 
 @dataclass
 class SourceMessage:
-    """Message block W (b x n) and its on-the-wire form (W | I_b)."""
+    """Message block W (b x n) and its on-the-wire form (W | I_b); or a
+    stack of them, one per lockstep session, drawn from a sequence of
+    generators."""
 
     w: np.ndarray
     x0: np.ndarray
 
     @classmethod
     def from_w(cls, w: np.ndarray) -> "SourceMessage":
-        b = w.shape[0]
-        return cls(w=w, x0=np.concatenate([w, linalg.eye(b)], axis=1))
+        b, n = w.shape[-2:]
+        x0 = np.zeros(w.shape[:-1] + (n + b,), dtype=np.int64)
+        x0[..., :n] = w
+        x0[..., n:] = linalg.eye(b)
+        return cls(w=w, x0=x0)
 
     @classmethod
-    def random(cls, field: Field, b: int, n: int, rng: np.random.Generator) -> "SourceMessage":
+    def random(cls, field: Field, b: int, n: int, rng) -> "SourceMessage":
         if b < 1 or n < 1:
             raise ValueError("message shape must satisfy b >= 1 and n >= 1")
         if n + b >= field.q:
@@ -61,15 +66,15 @@ class SourceMessage:
 
     def combine(self, field: Field, k: np.ndarray) -> np.ndarray:
         """Packets K (W | I) = (K W | K)."""
-        return np.concatenate([field.matmul(k, self.w), k], axis=1)
+        return np.concatenate([field.matmul(k, self.w), k], axis=-1)
 
     @property
     def b(self) -> int:
-        return self.w.shape[0]
+        return self.w.shape[-2]
 
     @property
     def n(self) -> int:
-        return self.w.shape[1]
+        return self.w.shape[-1]
 
 
 @dataclass

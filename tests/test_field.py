@@ -335,3 +335,24 @@ def test_gf2_matmul_matches_per_entry_sums(name, shape):
     out = f.matmul(a, b)
     assert out.dtype == np.int64
     assert np.array_equal(out, _matmul_per_entry(f, a, b))
+
+
+@pytest.mark.parametrize("name", ["gf2_4", "prime7", "gf2_16"])
+def test_check_range_in_every_integer_dtype(name):
+    # one reduction over the unsigned view: negatives wrap past q and are
+    # refused with the values at or past q, in every integer width
+    f = get_field(name)
+    for dtype in (np.int8, np.int16, np.int32, np.int64,
+                  np.uint8, np.uint16, np.uint32, np.uint64):
+        top = min(f.q - 1, np.iinfo(dtype).max)
+        f.check_range(np.array([[0, top]], dtype=dtype))
+        f.check_range(np.array([top], dtype=dtype)[0])
+        if f.q <= np.iinfo(dtype).max:
+            with pytest.raises(ValueError, match=r"must lie in \[0, "):
+                f.check_range(np.array([[0], [f.q]], dtype=dtype)[:, 0], "cells")
+        if np.iinfo(dtype).min < 0:
+            with pytest.raises(ValueError, match="must lie in"):
+                f.check_range(np.array([[1, -1]], dtype=dtype).T)
+    f.check_range(np.zeros((0, 3), dtype=np.int64))
+    with pytest.raises(ValueError, match="integer dtype"):
+        f.check_range(np.zeros(2))

@@ -701,19 +701,23 @@ def test_sink_rejects_bad_widths(gf16):
 @pytest.mark.parametrize("bad", [-1, 1 << 16])
 def test_sink_rejects_out_of_range_symbols(gf16, bad):
     # GF(2^16) tables would wrap -1 to 65535 silently; the sink refuses it
+    # in int64 and int32 alike.  A uint16 block holds only symbols of
+    # GF(2^16), so the sink takes it
     p = std_params()
     sink = RsSinkState(gf16, p, SharedSecret(gf16, p, np.random.default_rng(24)))
     y, j = zeros(2, p.n + p.b), zeros(2, p.m + p.sigma)
-    y_bad, j_bad = y.copy(), j.copy()
-    y_bad[1, 3] = bad
-    j_bad[0, 0] = bad
     before = sink_state(sink)
-    with pytest.raises(ValueError, match="long packet symbols"):
-        sink.ingest(y_bad, j)
-    with pytest.raises(ValueError, match="short packet symbols"):
-        sink.ingest(y, j_bad)
+    for dtype in (np.int64, np.int32):
+        y_bad, j_bad = y.astype(dtype), j.astype(dtype)
+        y_bad[1, 3] = bad
+        j_bad[0, 0] = bad
+        with pytest.raises(ValueError, match="long packet symbols"):
+            sink.ingest(y_bad, j.astype(dtype))
+        with pytest.raises(ValueError, match="short packet symbols"):
+            sink.ingest(y.astype(dtype), j_bad)
     with pytest.raises(ValueError, match="integer dtype"):
         sink.ingest(y.astype(float), j)
     assert all(np.array_equal(u, v) for u, v in zip(before, sink_state(sink)))
-    sink.ingest(y, j)
-    assert sink.stage == 1
+    y[0, p.n], j[0, 0] = 1, (1 << 16) - 1
+    sink.ingest(y.astype(np.uint16), j.astype(np.uint16))
+    assert sink.stage == 1 and sink._ypiv == [0]

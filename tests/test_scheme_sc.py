@@ -299,9 +299,10 @@ def test_validate_mode_checks_sink_against_dense_oracle(gf16, monkeypatch):
 
 @pytest.mark.parametrize("bad", [-1, 1 << 16])
 def test_ingest_rejects_out_of_range_symbols(gf16, bad):
-    # GF(2^16) tables would wrap -1 to 65535 silently; the sink refuses it,
-    # an observation block that is not 2-D and a malformed hash block,
-    # before it changes any state
+    # GF(2^16) tables would wrap -1 to 65535 silently; the sink refuses it
+    # in int64 and int32 alike, an observation block that is not 2-D and a
+    # malformed hash block, before it changes any state.  A uint16 block
+    # holds only symbols of GF(2^16), so the sink takes it
     f = gf16
     msg = SourceMessage.random(f, 2, 6, np.random.default_rng(15))
     rng = np.random.default_rng(16)
@@ -315,10 +316,11 @@ def test_ingest_rejects_out_of_range_symbols(gf16, bad):
     # stages rejected by an empty sink, then by one holding a stage
     for y, good in ((x_i, payload), (x_2, payload_2)):
         before = state()
-        y_bad = y.copy()
-        y_bad[-1, 5] = bad
-        with pytest.raises(ValueError, match="observation symbols"):
-            sink.ingest(y_bad, good)
+        for dtype in (np.int64, np.int32):
+            y_bad = y.astype(dtype)
+            y_bad[-1, 5] = bad
+            with pytest.raises(ValueError, match="observation symbols"):
+                sink.ingest(y_bad, good)
         with pytest.raises(ValueError, match="integer dtype"):
             sink.ingest(y.astype(float), good)
         for y_bad in (y[0], y[:, :, None]):
@@ -336,7 +338,7 @@ def test_ingest_rejects_out_of_range_symbols(gf16, bad):
                 sink.ingest(y, bad_payload)
         # nothing of a rejected stage is kept
         assert all(np.array_equal(u, v) for u, v in zip(before, state()))
-        sink.ingest(y, good)
+        sink.ingest(y.astype(np.uint16), good)
     assert np.array_equal(sink.points, np.concatenate([payload.points, payload_2.points]))
     assert np.array_equal(sink.h, np.hstack([payload.hashes, payload_2.hashes]))
     batch = rref_with_transform(f, np.vstack([x_i, x_2]))

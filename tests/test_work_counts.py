@@ -25,8 +25,12 @@ through ``np.roll``, ``np.hstack`` or ``np.vstack`` (one
 ``np.concatenate`` does it, and none is made where the random-secret
 sink reads its kept bases); the decoded W is laid out once; and the
 random-secret slot map is built once per stage shape, not per session.
+The stage guards hold for a single session and for a lockstep batch,
+which makes each kernel call once for all of its sessions: a batch of 50
+makes as many products and pivots as a batch of 10.
 """
 
+import collections
 import math
 from pathlib import Path
 
@@ -35,7 +39,7 @@ import pytest
 
 from ratelessnc import channel, linalg, scheme_rs, scheme_sc
 from ratelessnc.field import get_field
-from ratelessnc.harness import build_config, load_config, run_experiment
+from ratelessnc.harness import build_config, load_config, run_experiment, run_trial
 from ratelessnc.linalg import SolveStatus
 from ratelessnc.records import Decode, unsolved
 
@@ -435,14 +439,9 @@ def test_elimination_makes_no_elementwise_field_calls(monkeypatch):
     assert calls["outside"] > 0 and sum(passes) > 0  # the watch saw the session
 
 
-@pytest.mark.parametrize("config", [CONFIGS / "rs-cutset-b3.yaml",
-                                    CONFIGS.parents[1] / "configs" / "sc_hypergraph.yaml"])
-def test_one_product_per_channel_use(monkeypatch, config):
-    # matrix mode (the random-secret workload's long and short channels)
-    # and hypergraph mode: Y = T X + Q Z is one Field.matmul, and the
-    # decomposition it records still holds
-    cfg = load_config(config, {"seed": 1, "trials": 5})
-    field = get_field(cfg.field_name)
+def watch_channel_uses(monkeypatch, field):
+    """Record, per channel use, the number of ``Field.matmul`` calls it
+    makes, checking the Y = T X + Q Z it records."""
     uses = []                   # Field.matmul calls made by each channel use
     open_use = []               # the channel use open now, if any
     real_matmul = field.matmul
@@ -468,19 +467,43 @@ def test_one_product_per_channel_use(monkeypatch, config):
     monkeypatch.setitem(vars(field), "matmul", matmul)
     for owner in (channel.MatrixChannel, channel.HypergraphChannel):
         monkeypatch.setattr(owner, "__call__", watched(owner.__call__))
-    records, _ = run_experiment(cfg)
+    return uses
+
+
+@pytest.mark.parametrize("config", [CONFIGS / "rs-cutset-b3.yaml",
+                                    CONFIGS.parents[1] / "configs" / "sc_hypergraph.yaml"])
+def test_one_product_per_channel_use(monkeypatch, config):
+    # matrix mode (the random-secret workload's long and short channels)
+    # and hypergraph mode: Y = T X + Q Z is one Field.matmul, and the
+    # decomposition it records still holds; one session at a time
+    cfg = load_config(config, {"seed": 1, "trials": 5})
+    field = get_field(cfg.field_name)
+    uses = watch_channel_uses(monkeypatch, field)
+    records = [run_trial(cfg, field, t) for t in range(cfg.trials)]
     assert all(r.outcome == "decoded" and r.correct for r in records)
     stages = sum(r.stages_used for r in records)
     assert uses == [1] * stages * (2 if cfg.scheme == "random-secret" else 1)
 
 
-@pytest.mark.parametrize("name", ["rs-long-b8", "rs-cutset-b3", "sc-rate-b16"])
-def test_stages_make_no_numpy_relayout_helpers(monkeypatch, name):
-    # np.roll, np.hstack and np.vstack are Python-level wrappers around a
-    # copy; every re-layout on the stage path is one np.concatenate, and
-    # the random-secret sink reads its kept bases in place, so reading the
-    # column bases off them makes none at all.  The decoded W is laid out
-    # once: the array the acceptance check reads is the one returned
+def test_one_product_per_lockstep_channel_use(monkeypatch):
+    # a lockstep batch uses each channel once per stage for all of its
+    # sessions, and that use is still one product
+    cfg = load_config(CONFIGS / "rs-cutset-b3.yaml", {"seed": 1, "trials": 5})
+    field = get_field(cfg.field_name)
+    uses = watch_channel_uses(monkeypatch, field)
+    records, summary = run_experiment(cfg)
+    assert all(r.outcome == "decoded" and r.correct for r in records)
+    assert summary.lockstep_evictions == 0
+    stages = {r.stages_used for r in records}
+    assert len(stages) == 1
+    assert uses == [1] * stages.pop() * 2
+
+
+def watch_relayouts(monkeypatch):
+    """Record the numpy re-layout helpers called (``np.concatenate`` only
+    inside ``RsSinkState._extract_side``), the extractions made, and per
+    ``RsSinkState.try_decode`` the W it returned beside the W its last
+    ``_blocks_hold`` read."""
     calls = []
     reading = []                # the _extract_side calls open now
     for helper in ("roll", "hstack", "vstack", "concatenate"):
@@ -517,15 +540,67 @@ def test_stages_make_no_numpy_relayout_helpers(monkeypatch, name):
     monkeypatch.setattr(scheme_rs.RsSinkState, "_extract_side", extract_side)
     monkeypatch.setattr(scheme_rs, "_blocks_hold", blocks_hold)
     monkeypatch.setattr(scheme_rs.RsSinkState, "try_decode", try_decode)
+    return calls, reads, returned
+
+
+@pytest.mark.parametrize("name", ["rs-long-b8", "rs-cutset-b3", "sc-rate-b16"])
+def test_stages_make_no_numpy_relayout_helpers(monkeypatch, name):
+    # np.roll, np.hstack and np.vstack are Python-level wrappers around a
+    # copy; every re-layout on the stage path is one np.concatenate, and
+    # the random-secret sink reads its kept bases in place, so reading the
+    # column bases off them makes none at all.  The decoded W is laid out
+    # once: the array the acceptance check reads is the one returned.
+    # One session at a time
+    calls, reads, returned = watch_relayouts(monkeypatch)
     cfg = load_config(CONFIGS / f"{name}.yaml", {"seed": 1})
     assert not cfg.validate
-    records, _ = run_experiment(cfg)
+    field = get_field(cfg.field_name)
+    records = [run_trial(cfg, field, t) for t in range(cfg.trials)]
     assert all(r.outcome == "decoded" and r.correct for r in records)
     assert calls == []
     assert bool(reads) == (cfg.scheme == "random-secret")
     decoded = [(w, seen) for w, seen in returned if w is not None]
     assert len(decoded) == (len(records) if cfg.scheme == "random-secret" else 0)
     assert all(w is seen for w, seen in decoded)
+
+
+def test_lockstep_makes_no_numpy_relayout_helpers(monkeypatch):
+    # the same on a lockstep batch: no helper, no concatenate where the
+    # bases are read, and one decode whose stacked W is laid out once
+    calls, reads, returned = watch_relayouts(monkeypatch)
+    cfg = load_config(CONFIGS / "rs-cutset-b3.yaml", {"seed": 1})
+    records, summary = run_experiment(cfg)
+    assert all(r.outcome == "decoded" and r.correct for r in records)
+    assert summary.lockstep_evictions == 0
+    assert calls == [] and reads
+    decoded = [(w, seen) for w, seen in returned if w is not None]
+    assert [w.shape for w, _ in decoded] == [(len(records), cfg.b, cfg.n)]
+    assert all(w is seen for w, seen in decoded)
+
+
+def test_lockstep_pays_each_kernel_call_once_per_batch(monkeypatch):
+    # a batch makes each product and each pivot once for all of its
+    # sessions: 50 sessions cost as many calls as 10 (Field.sample, one
+    # draw per session, is left out)
+    field = get_field("gf2_16")
+    counts = collections.Counter()
+    for name in ("matmul", "pivot_step"):
+        def counted(*args, _name=name, _real=getattr(field, name)):
+            counts[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setitem(vars(field), name, counted)
+    seen = {}
+    for trials in (10, 50):
+        counts.clear()
+        cfg = load_config(CONFIGS / "rs-cutset-b3.yaml", {"seed": 1, "trials": trials})
+        records, summary = run_experiment(cfg)
+        assert len(records) == trials
+        assert all(r.outcome == "decoded" and r.correct for r in records)
+        assert summary.lockstep_evictions == 0
+        seen[trials] = dict(counts)
+    assert seen[10] == seen[50]
+    assert seen[10]["matmul"] > 0 and seen[10]["pivot_step"] > 0
 
 
 def test_l_entry_map_built_once_and_read_only():
