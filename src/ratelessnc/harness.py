@@ -46,7 +46,11 @@ from .scheme_rs import RsParams, SharedSecret, rs_stages
 from .scheme_sc import SourceMessage, sc_stages
 
 _SECRET_STREAM = 0x5EC
-BATCH = 64       # trials advanced together in one lockstep batch, at most
+# Trials advanced together in one lockstep batch, at most.  On 256 trials
+# of the GF(2^16) random-secret configs, throughput rises up to 64 and is
+# flat past it (within 2% at 128 and 256), while a batch that strays
+# re-runs all of its trials; 2 trials already beat two serial sessions.
+BATCH = 64
 
 
 class ConfigError(ValueError):
