@@ -7,7 +7,7 @@ provided: matrix mode draws T and Q directly (the level at which the whole
 analysis lives), and hypergraph mode actually pushes coefficient vectors
 through an explicit topology and recovers T, Q from them.
 
-Matrix mode also carries lockstep sessions: given a sequence of generators
+Matrix mode also carries lockstep sessions: given a ``field.GeneratorStack``
 and a stack of packet blocks (a leading batch axis), each session draws
 its own T, Q and Z exactly as it would alone, and Y is formed for the whole
 stack in one product.
@@ -91,7 +91,7 @@ def _full_row_rank(field: Field, t: np.ndarray) -> bool:
 def sample_transfer(field: Field, params: StageParams,
                     rng) -> tuple[np.ndarray, np.ndarray]:
     """Draw T (M x c, resampled to full row rank M) and Q (M x z, uniform).
-    From a sequence of generators, stacks of them, whose sessions redraw
+    From a ``field.GeneratorStack``, stacks of them, whose sessions redraw
     together or leave the stack (``_full_row_rank``)."""
     for _ in range(_RETRY_CAP):
         t = field.sample(rng, (params.M, params.c))

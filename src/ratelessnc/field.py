@@ -16,9 +16,26 @@ Matrices may come as stacks: a leading batch axis of independent matrices
 of one shape, as the lockstep sessions of ``harness.run_experiment`` hold
 them.  ``matmul`` multiplies stacks matrix by matrix (broadcasting the
 batch axis), ``pivot_step`` pivots every matrix of a stack at the same
-position, and ``sample`` given a sequence of generators draws from each
-what it would draw alone and stacks the draws.  A 2-D input is a single
-matrix, handled as it always was.
+position, and ``sample`` given a ``GeneratorStack`` draws for every
+session of the stack, in one step, exactly what its generator would draw
+alone.  A 2-D input is a single matrix, handled as it always was.
+
+Stacked draws are exact because they repeat numpy's algorithm (checked
+against numpy 2.4.6).  ``Generator.integers(0, q, dtype=int64)`` with
+q <= 2^32 draws 32-bit halves of PCG64 output words, the low half of a
+word first and its high half on the next draw (PCG64 keeps it pending,
+across calls too), and maps each half h to ``(h * q) >> 32``: Lemire's
+multiply-shift (Lemire, "Fast Random Integer Generation in an
+Interval", ACM TOMACS 2019).  It rejects and redraws a half whose
+``(h * q) mod 2^32`` is below ``2^32 mod q``, which never happens for
+q = 2^w (the map is then a shift) and about once in 1.9 * 10^7 draws at
+q = 65521.  A ``GeneratorStack`` buffers each generator's output words
+(``random_raw``, the words ``next_uint64`` gives) as halves in that
+order, reads the next k halves of every row for a draw of k symbols and
+maps them all at once; where numpy would reject a half it raises
+``Stray`` for the rows that hold one, and the batch leaves the shared
+path.  ``tests/test_field.py::test_stacked_draws_equal_numpy_draws``
+fails if numpy changes the algorithm.
 
 Two kernels carry the linear algebra, and both keep the table format
 inside this module:
@@ -94,11 +111,81 @@ _DEFAULT_POLY = {
 }
 
 
+# PCG64 output words a ``GeneratorStack`` reads from each generator when its
+# buffer runs out: 512 symbols per session, about one refill per stream of
+# a short random-secret session.
+_REFILL = 256
+
+
+class Stray(Exception):
+    """Some matrices (or sessions) of a stack would take another branch
+    than the rest; ``mask`` marks them.  Raised before the branch is
+    taken."""
+
+    def __init__(self, mask: np.ndarray):
+        super().__init__(f"{int(mask.sum())} of {mask.size} stacked matrices leave the shared path")
+        self.mask = mask
+
+
+class GeneratorStack:
+    """The generators of lockstep sessions, drawn from as one.
+
+    Holds the 32-bit halves of every generator's PCG64 output words, one
+    row per generator, low half first, and one cursor for all rows: rows
+    draw equal counts, so they stay at one position, and a high half left
+    over by an odd draw is simply the next half of its row.  ``integers``
+    maps the next halves of every row to symbols in one step (see the
+    module docstring).  The stack owns its generators: it reads their
+    words ahead, so nothing else may draw from them.
+    """
+
+    def __init__(self, generators):
+        bits = [g.bit_generator for g in generators if isinstance(g, np.random.Generator)]
+        if len(bits) != len(generators) or any(type(b) is not np.random.PCG64 for b in bits):
+            raise TypeError("a GeneratorStack draws from numpy Generators on PCG64 only")
+        if any(b.state["has_uint32"] for b in bits):
+            raise ValueError("a generator holds a pending 32-bit half; the stack reads whole words")
+        self._bits = bits
+        self._halves = np.zeros((len(bits), 0), dtype=np.int64)
+        self._at = 0
+
+    def __len__(self):
+        return len(self._bits)
+
+    def integers(self, q: int, shape=None) -> np.ndarray:
+        """Every generator's ``integers(0, q, shape, dtype=int64)``, stacked
+        on a leading axis (one symbol each for ``shape=None``).  Raises
+        ``Stray`` marking the generators whose draw numpy would reject."""
+        shape = () if shape is None else (shape,) if np.ndim(shape) == 0 else tuple(shape)
+        k = math.prod(shape)
+        while self._halves.shape[1] - self._at < k:
+            words = np.stack([b.random_raw(_REFILL) for b in self._bits])
+            fresh = np.stack([words & 0xFFFFFFFF, words >> 32], axis=-1).astype(np.int64)
+            self._halves = np.concatenate(
+                [self._halves[:, self._at:], fresh.reshape(len(words), -1)], axis=1)
+            self._at = 0
+        h = self._halves[:, self._at: self._at + k]
+        self._at += k
+        if not q & (q - 1):
+            out = h >> (33 - q.bit_length())
+        else:  # h < 2^32 and q <= 2^16: h * q fits int64
+            out = h * q
+            rejected = (out & 0xFFFFFFFF) < (1 << 32) % q
+            if rejected.any():
+                raise Stray(rejected.any(axis=1))
+            out >>= 32
+        return out.reshape((len(self),) + shape)
+
+
 def _product_shapes(a, b):
     """``a`` and ``b`` as arrays checked to multiply, and the leading
     (batch) shape of their product."""
     a = np.asarray(a)
     b = np.asarray(b)
+    if a.ndim == 2 == b.ndim:
+        if a.shape[1] != b.shape[0]:
+            raise ValueError(f"dimension mismatch: {a.shape} @ {b.shape}")
+        return a, b, ()
     if a.ndim < 2 or b.ndim < 2:
         raise ValueError("matmul expects 2-D arrays or stacks of them")
     if a.shape[-1] != b.shape[-2]:
@@ -159,10 +246,14 @@ class Field:
 
     def sample(self, rng, shape=None):
         """Uniform element(s) of the field from the given generator.  From a
-        sequence of generators, each one's draw stacked on a leading axis:
-        every generator draws exactly what it would draw alone."""
-        if not isinstance(rng, np.random.Generator):
-            return np.stack([self.sample(g, shape) for g in rng])
+        ``GeneratorStack``, every generator's draw stacked on a leading
+        axis, read from its buffered PCG64 words and mapped by Lemire's
+        multiply-shift for all generators at once: exactly what each
+        generator would draw alone with ``integers`` (module docstring).
+        Raises ``Stray`` where numpy would reject a half and redraw, which
+        only a q that is not a power of 2 can hit."""
+        if isinstance(rng, GeneratorStack):
+            return rng.integers(self.q, shape)
         if shape is None:
             return int(rng.integers(0, self.q))
         return rng.integers(0, self.q, size=shape, dtype=self.dtype)

@@ -14,15 +14,20 @@ fixed, matrix channel mode, ``validate`` off and at least 2 trials (and
 batch of up to ``BATCH`` trials is one session of the same code on
 stacked arrays (see ``linalg``): every trial keeps its own generators and
 draws exactly what it draws alone, while each kernel call is made once
-for the batch.  The trials of a batch must take every branch together
-(they may swap rows each on its own).  When one would not (another pivot
-column, solve round or status, or transfer-matrix verdict), the batch is
-evicted before it does: every trial of it is run again on its own by
-``run_trial``, which re-seeds from (seed, t), so each record is exactly
-the serial one.  Restarting the batch without the straying trials costs
-more at small fields, where sessions part ways again and again.  Records
-are in trial order; ``Summary.lockstep_evictions`` counts the trials run
-again.  Every other config runs its trials one at a time.
+for the batch.  So is each draw: the batch's generators, a (seed, t)
+stream and a secret stream per trial, are held in two
+``field.GeneratorStack``s, which buffer their PCG64 output words and map
+them to every trial's symbols in one step, as ``Generator.integers``
+would.  The trials of a batch must take every branch together (they may
+swap rows each on its own).  When one would not (another pivot column,
+solve round or status, transfer-matrix verdict, or a draw numpy would
+reject and redraw), the batch is evicted before it does: every trial of
+it is run again on its own by ``run_trial``, which re-seeds from
+(seed, t), so each record is exactly the serial one.  Restarting the
+batch without the straying trials costs more at small fields, where
+sessions part ways again and again.  Records are in trial order;
+``Summary.lockstep_evictions`` counts the trials run again.  Every other
+config runs its trials one at a time.
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ import numpy as np
 import yaml
 
 from .channel import AdversaryStrategy, Hypergraph, HypergraphChannel, MatrixChannel, StageParams
-from .field import Field, get_field
+from .field import Field, GeneratorStack, get_field
 from .linalg import Stray
 from .records import Decode, TrialRecord
 from .scheme_rs import RsParams, SharedSecret, rs_stages
@@ -415,7 +420,7 @@ def _session(cfg: ExperimentConfig, field: Field, trials, long_channel):
     ``run_session`` returns them."""
     def generators(*stream):
         if isinstance(trials, list):
-            return [np.random.default_rng([cfg.seed, t, *stream]) for t in trials]
+            return GeneratorStack([np.random.default_rng([cfg.seed, t, *stream]) for t in trials])
         return np.random.default_rng([cfg.seed, trials, *stream])
 
     rng = generators()

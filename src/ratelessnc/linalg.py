@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import Field
+from .field import Field, Stray
 
 
 def zeros(rows: int, cols: int) -> np.ndarray:
@@ -57,15 +57,6 @@ def zeros(rows: int, cols: int) -> np.ndarray:
 
 def eye(n: int) -> np.ndarray:
     return np.eye(n, dtype=np.int64)
-
-
-class Stray(Exception):
-    """Some matrices of a stack would take another branch than the rest;
-    ``mask`` marks them.  Raised before the branch is taken."""
-
-    def __init__(self, mask: np.ndarray):
-        super().__init__(f"{int(mask.sum())} of {mask.size} stacked matrices leave the shared path")
-        self.mask = mask
 
 
 def agree(values):
@@ -88,6 +79,15 @@ def _next_pivot(work: np.ndarray, r: int, c: int, limit: int):
     r, and its first such row; (limit, r) when no column has one.  In a
     stack the column is the one every matrix takes (``agree``) and the
     row is each matrix's own, an array."""
+    if work.ndim == 2:  # one matrix: scan past column c only when it is empty
+        below = work[r:, c].nonzero()[0]
+        if not below.size:
+            ahead = work[r:, c + 1: limit].any(axis=0).nonzero()[0]
+            if not ahead.size:
+                return limit, r
+            c += 1 + int(ahead[0])
+            below = work[r:, c].nonzero()[0]
+        return c, r + int(below[0])
     held = work[..., r:, c:limit].any(axis=-2)
     jump = agree(held.argmax(axis=-1))
     if not agree(held[..., jump]):

@@ -40,15 +40,16 @@ of suffix unknowns into parity rows and the ground-truth layout of
 ``truth_vector``.
 
 The encoder, the sink and the decoder also run lockstep sessions: built on
-a secret drawn from a sequence of generators (one per session), they hold
-every packet block, basis, key-equation block and candidate as a stack
-with a leading batch axis, and the same code, indexing with ``...``, does
-each step for the whole stack.  What depends only on pivots is held once:
-the basis pivots, the chosen and remaining columns, the kept slots and
-their suffix indices, the message unknowns' order.  Every session of the
-stack takes every branch together (``linalg.agree``), or the ones that
-would not are marked by ``linalg.Stray`` before it is taken.  Validation
-runs on single sessions only.
+a secret drawn from a ``field.GeneratorStack`` (one generator per
+session), they hold every packet block, basis, key-equation block and
+candidate as a stack with a leading batch axis, and the same code,
+indexing with ``...``, does each step for the whole stack.  What depends
+only on pivots is held once: the basis pivots, the chosen and remaining
+columns, the kept slots and their suffix indices, the message unknowns'
+order.  Every session of the stack takes every branch together
+(``linalg.agree``), or the ones that would not are marked by
+``linalg.Stray`` before it is taken.  Validation runs on single sessions
+only.
 """
 
 from __future__ import annotations
@@ -110,8 +111,8 @@ class SharedSecret:
 
     Only the symbols are kept, (points, targets) per stage: the parity
     block D_k, entry (i, j) = d_i^(j+1), is a function of the points and is
-    evaluated wherever it is read, never stored.  Given a sequence of
-    generators, the secrets of that many lockstep sessions, each stage's
+    evaluated wherever it is read, never stored.  Given a ``GeneratorStack``
+    of generators, the secrets of that many lockstep sessions, each stage's
     symbols stacked; ``lead`` is the stack's (batch) shape."""
 
     def __init__(self, field: Field, params: RsParams, rng):

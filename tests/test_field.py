@@ -3,7 +3,7 @@ import pytest
 from scipy import stats
 
 from ratelessnc import field
-from ratelessnc.field import GF2Field, PrimeField, get_field
+from ratelessnc.field import GeneratorStack, GF2Field, PrimeField, Stray, get_field
 
 
 def egcd(a, b):
@@ -162,6 +162,79 @@ def test_sample_uniform_chi_square():
     draws = f.sample(np.random.default_rng(2024), 100_000)
     counts = np.bincount(draws, minlength=251)
     assert stats.chisquare(counts).pvalue >= 0.001
+
+
+@pytest.mark.parametrize("name", ["gf2_2", "gf2_4", "gf2_16", "prime7", "prime251",
+                                  "prime65521"])
+def test_stacked_draws_equal_numpy_draws(name):
+    # every row of a stack draws, call after call, what its generator draws
+    # alone with integers(0, q, size, dtype=int64): a scalar, an empty
+    # shape, odd counts (a pending high half crosses the call) and a draw
+    # past one refill block
+    f = get_field(name)
+    seeds = [[5, s] for s in range(3)]
+    stack = GeneratorStack([np.random.default_rng(s) for s in seeds])
+    alone = [np.random.default_rng(s) for s in seeds]
+    assert len(stack) == 3
+    for shape in (None, (0, 3), 3, (1, 5), (), 2 * field._REFILL + 1, (2, 2), 1, None):
+        want = np.stack([g.integers(0, f.q, size=shape, dtype=np.int64) for g in alone])
+        got = f.sample(stack, shape)
+        assert got.dtype == np.int64 and got.shape == want.shape
+        assert np.array_equal(got, want), shape
+
+
+def _halves(words):
+    """The 32-bit halves of PCG64 output words in numpy's order, low first."""
+    return np.stack([words & 0xFFFFFFFF, words >> 32], axis=-1).ravel().astype(np.int64)
+
+
+def test_stacked_draw_strays_where_numpy_rejects():
+    # at q = 65521 numpy rejects a 32-bit half h with (h q) mod 2^32 below
+    # 2^32 mod q = 225 and draws the next one; scan seed 4's stream for the
+    # first such half, start a stack two words before it, and the draw
+    # that reaches it raises Stray for that row alone
+    f = get_field("prime65521")
+    threshold = (1 << 32) % f.q
+    bits, at = np.random.PCG64(4), 0
+    while True:
+        halves = _halves(bits.random_raw(1 << 18))
+        hit = np.flatnonzero((halves * f.q & 0xFFFFFFFF) < threshold)
+        if hit.size:
+            at += int(hit[0])
+            break
+        at += halves.size
+    start = at // 2 - 2  # words before the stack's first one; the hit is its half 4 or 5
+
+    def generators():
+        gens = [np.random.default_rng(4), np.random.default_rng(5)]
+        for g in gens:
+            g.bit_generator.advance(start)
+        return gens
+
+    ahead = _halves(generators()[0].bit_generator.random_raw(4))
+    assert ahead[at - 2 * start] * f.q % (1 << 32) < threshold
+    stack, alone = GeneratorStack(generators()), generators()
+    want = np.stack([g.integers(0, f.q, size=3, dtype=np.int64) for g in alone])
+    assert np.array_equal(f.sample(stack, 3), want)
+    # numpy skips the rejected half: its next 4 symbols are halves 3..7
+    # but that one, mapped
+    kept = np.delete(ahead[3:8], at - 2 * start - 3)
+    assert np.array_equal(alone[0].integers(0, f.q, size=4, dtype=np.int64),
+                          kept * f.q >> 32)
+    with pytest.raises(Stray) as caught:
+        f.sample(stack, 4)
+    assert caught.value.mask.tolist() == [True, False]
+
+
+def test_generator_stack_takes_fresh_pcg64_generators_only():
+    with pytest.raises(TypeError):
+        GeneratorStack([np.random.default_rng(0), np.random.Generator(np.random.MT19937(0))])
+    with pytest.raises(TypeError):
+        GeneratorStack([np.random.PCG64(0)])
+    used = np.random.default_rng(0)
+    used.integers(0, 7)  # leaves the high half of a word pending
+    with pytest.raises(ValueError, match="pending"):
+        GeneratorStack([np.random.default_rng(1), used])
 
 
 @pytest.mark.parametrize("name", ["gf2_17", "gf2_1"])

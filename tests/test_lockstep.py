@@ -19,7 +19,7 @@ import pytest
 
 from ratelessnc import channel, linalg
 from ratelessnc.channel import StageParams, sample_transfer
-from ratelessnc.field import get_field
+from ratelessnc.field import GeneratorStack, get_field
 from ratelessnc.harness import BATCH, build_config, load_config, run_experiment, run_trial
 from ratelessnc.linalg import SolveStatus, Stray
 from ratelessnc.scheme_rs import RsEncoder, RsParams, RsSinkState, SharedSecret
@@ -127,7 +127,7 @@ def test_stacked_matmul_and_pivot_equal_per_matrix(name):
 
 def test_sample_from_generators_draws_what_each_draws_alone():
     f = get_field("gf2_16")
-    stacked = f.sample([np.random.default_rng(s) for s in range(4)], (2, 3))
+    stacked = f.sample(GeneratorStack([np.random.default_rng(s) for s in range(4)]), (2, 3))
     alone = [f.sample(np.random.default_rng(s), (2, 3)) for s in range(4)]
     assert np.array_equal(stacked, np.stack(alone))
 
@@ -224,7 +224,8 @@ def test_transfer_draws_that_all_redraw_stay_in_step():
         seeds = [s, s + 1, s + 2]
         counts = {draws(x) for x in seeds}
         try:
-            t, _ = sample_transfer(f, params, [np.random.default_rng(x) for x in seeds])
+            t, _ = sample_transfer(f, params,
+                                   GeneratorStack([np.random.default_rng(x) for x in seeds]))
         except Stray:
             assert len(counts) > 1
             outcomes.add("stray")
@@ -240,9 +241,10 @@ def test_transfer_draws_that_all_redraw_stay_in_step():
 def stacked_session(batch=3):
     f = get_field("gf2_16")
     p = RsParams(b=3, n=12, sigma=1, m=RsParams.auto_m(3, 1, 4), cbar=4)
-    rngs = [np.random.default_rng([21, t]) for t in range(batch)]
+    rngs = GeneratorStack([np.random.default_rng([21, t]) for t in range(batch)])
     msg = SourceMessage.random(f, p.b, p.n, rngs)
-    secret = SharedSecret(f, p, [np.random.default_rng([22, t]) for t in range(batch)])
+    secret = SharedSecret(f, p, GeneratorStack([np.random.default_rng([22, t])
+                                                for t in range(batch)]))
     return f, p, rngs, msg, secret
 
 

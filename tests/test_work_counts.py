@@ -579,14 +579,16 @@ def test_lockstep_makes_no_numpy_relayout_helpers(monkeypatch):
 
 
 def test_lockstep_pays_each_kernel_call_once_per_batch(monkeypatch):
-    # a batch makes each product and each pivot once for all of its
-    # sessions: 50 sessions cost as many calls as 10 (Field.sample, one
-    # draw per session, is left out)
+    # a batch makes each product, each pivot and each draw once for all
+    # of its sessions: 50 sessions cost as many calls as 10, and every
+    # draw reads the batch's GeneratorStack, never one session's Generator
     field = get_field("gf2_16")
     counts = collections.Counter()
-    for name in ("matmul", "pivot_step"):
+    for name in ("matmul", "pivot_step", "sample"):
         def counted(*args, _name=name, _real=getattr(field, name)):
             counts[_name] += 1
+            if _name == "sample" and isinstance(args[0], np.random.Generator):
+                counts["sample from a Generator"] += 1
             return _real(*args)
 
         monkeypatch.setitem(vars(field), name, counted)
@@ -600,7 +602,8 @@ def test_lockstep_pays_each_kernel_call_once_per_batch(monkeypatch):
         assert summary.lockstep_evictions == 0
         seen[trials] = dict(counts)
     assert seen[10] == seen[50]
-    assert seen[10]["matmul"] > 0 and seen[10]["pivot_step"] > 0
+    assert seen[10]["matmul"] > 0 and seen[10]["pivot_step"] > 0 and seen[10]["sample"] > 0
+    assert "sample from a Generator" not in seen[10]
 
 
 def test_l_entry_map_built_once_and_read_only():
