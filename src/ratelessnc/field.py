@@ -37,6 +37,17 @@ maps them all at once; where numpy would reject a half it raises
 path.  ``tests/test_field.py::test_stacked_draws_equal_numpy_draws``
 fails if numpy changes the algorithm.
 
+A batch's generators are seeded together as well.
+``GeneratorStack.seeded(rows)`` takes each generator's SeedSequence
+entropy (a row of non-negative integers, what ``np.random.default_rng``
+takes), coerces it to 32-bit words as numpy does and hashes every row
+at once with numpy's SeedSequence algorithm (O'Neill's ``seed_seq_fe``;
+``mix_entropy``, then ``generate_state(4, uint64)``), one numpy step
+per word column instead of one ``SeedSequence`` object per generator.
+Each PCG64 is then built from its precomputed state, so the stack draws
+what ``default_rng(row)`` would, checked against numpy 2.4.6 by
+``tests/test_field.py::test_seeded_states_equal_numpy_seed_sequence``.
+
 Two kernels carry the linear algebra, and both keep the table format
 inside this module:
 
@@ -78,6 +89,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 
 import numpy as np
 
@@ -118,6 +130,15 @@ _DEFAULT_POLY = {
 # other from 64 to 512 words, and 4% slower at 1024.
 _REFILL = 256
 
+# numpy's SeedSequence constants (O'Neill's seed_seq_fe): the entropy is
+# hashed into a pool of _POOL words with the A constants and mixed, and the
+# pool hashed out into a generator's state with the B constants
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_MASK32 = 0xFFFFFFFF
+
 
 class Stray(Exception):
     """Some matrices (or sessions) of a stack would take another branch
@@ -139,6 +160,12 @@ class GeneratorStack:
     maps the next halves of every row to symbols in one step (see the
     module docstring).  The stack owns its generators: it reads their
     words ahead, so nothing else may draw from them.
+
+    ``GeneratorStack(generators)`` takes Generators already made (fresh
+    or part-way through their streams); ``GeneratorStack.seeded(rows)``
+    seeds fresh ones from SeedSequence entropy rows in one pass, hashed
+    as numpy hashes them, without making a Generator or SeedSequence
+    per row.
     """
 
     def __init__(self, generators):
@@ -147,6 +174,23 @@ class GeneratorStack:
             raise TypeError("a GeneratorStack draws from numpy Generators on PCG64 only")
         if any(b.state["has_uint32"] for b in bits):
             raise ValueError("a generator holds a pending 32-bit half; the stack reads whole words")
+        self._hold(bits)
+
+    @classmethod
+    def seeded(cls, rows) -> GeneratorStack:
+        """A stack of fresh PCG64 generators, row i's exactly
+        ``np.random.default_rng(rows[i])``'s, seeded in one pass over all
+        rows.  A row is a sequence of non-negative integers, the
+        SeedSequence entropy; every row must come to the same number of
+        32-bit words.  Their SeedSequence states are hashed together
+        (``_seed_states``) and each PCG64 is built from its precomputed
+        state, so no ``SeedSequence`` or ``Generator`` is made."""
+        seed = _precomputed_seed()
+        stack = cls.__new__(cls)
+        stack._hold([np.random.PCG64(seed(s)) for s in _seed_states(_entropy_words(rows))])
+        return stack
+
+    def _hold(self, bits):
         self._bits = bits
         self._halves = np.zeros((len(bits), 0), dtype=np.int64)
         self._at = 0
@@ -179,11 +223,100 @@ class GeneratorStack:
         return out.reshape((len(self),) + shape)
 
 
-def _product_shapes(a, b):
-    """``a`` and ``b`` as arrays checked to multiply, and the leading
-    (batch) shape of their product."""
-    a = np.asarray(a)
-    b = np.asarray(b)
+def _entropy_words(rows) -> np.ndarray:
+    """The rows' SeedSequence entropy as numpy coerces it, one row each:
+    every integer as its 32-bit words, least significant first (0 is one
+    word).  Raises where numpy does (TypeError for a float, ValueError for
+    a negative integer) and ValueError for rows of unequal word counts."""
+    words = []
+    for row in rows:
+        out = []
+        for v in map(operator.index, row):  # TypeError for a float
+            if v < 0:
+                raise ValueError("expected non-negative integer")
+            out.append(v & _MASK32)
+            while v > _MASK32:
+                v >>= 32
+                out.append(v & _MASK32)
+        words.append(out)
+    if len({len(w) for w in words}) > 1:
+        raise ValueError("entropy rows must come to the same number of 32-bit words")
+    return np.array(words, dtype=np.uint32)
+
+
+def _hash_constants(init: int, mult: int, count: int):
+    """The XOR and multiplier constants of a SeedSequence hash's first
+    ``count`` steps, as uint32 columns: step k XORs with init * mult^k and
+    multiplies by init * mult^(k+1)."""
+    h = [init]
+    for _ in range(count):
+        h.append(h[-1] * mult & _MASK32)
+    h = np.array(h, dtype=np.uint32)[:, None]
+    return h[:-1], h[1:]
+
+
+def _hashmix(v, xor, mul):
+    v = (v ^ xor) * mul
+    return v ^ v >> 16
+
+
+def _mix(x, y):
+    v = x * _MIX_L - y * _MIX_R
+    return v ^ v >> 16
+
+
+def _seed_states(words: np.ndarray) -> np.ndarray:
+    """``SeedSequence(row).generate_state(4, np.uint64)`` of every row of
+    ``words`` (uint32 entropy words, one row per generator), as a (rows,
+    4) uint64 array: numpy's algorithm (O'Neill's ``seed_seq_fe``) run
+    once over each column of words for all rows together.  The entropy is
+    hashed into a pool of 4 words, every pool word is mixed into every
+    other, words past the fourth are mixed into each pool word, and the
+    pool is hashed out cyclically into 8 uint32 words, paired low word
+    first."""
+    rows, width = words.shape
+    extra = max(0, width - _POOL)
+    xor, mul = _hash_constants(_INIT_A, _MULT_A, _POOL * _POOL + _POOL * extra)
+    pool = np.zeros((_POOL, rows), dtype=np.uint32)
+    pool[:width] = words.T[:_POOL]
+    pool = _hashmix(pool, xor[:_POOL], mul[:_POOL])
+    k = _POOL
+    for src in range(_POOL):  # the other three words take src's current value
+        dst = [d for d in range(_POOL) if d != src]
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], xor[k: k + 3], mul[k: k + 3]))
+        k += 3
+    for word in words.T[_POOL:]:
+        pool = _mix(pool, _hashmix(word, xor[k: k + _POOL], mul[k: k + _POOL]))
+        k += _POOL
+    xor, mul = _hash_constants(_INIT_B, _MULT_B, 8)
+    state = _hashmix(np.concatenate([pool, pool]), xor, mul).astype(np.uint64)
+    return np.ascontiguousarray((state[0::2] | state[1::2] << 32).T)
+
+
+@functools.cache
+def _precomputed_seed():
+    """A seed sequence that hands PCG64 a precomputed state.  Built on first
+    use, so that importing this package does not import ``numpy.random``
+    (about 0.85 MB of resident memory for runs that never draw)."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class PrecomputedSeed(ISeedSequence):
+        def __init__(self, state):
+            self.state = state
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != len(self.state) or dtype is not np.uint64:
+                raise ValueError("holds PCG64's four 64-bit seed words only")
+            return self.state
+
+    return PrecomputedSeed
+
+
+def _product_shapes(a, b, dtype=None):
+    """``a`` and ``b`` as arrays (of ``dtype``, when given) checked to
+    multiply, and the leading (batch) shape of their product."""
+    a = np.asarray(a, dtype=dtype)
+    b = np.asarray(b, dtype=dtype)
     if a.ndim == 2 == b.ndim:
         if a.shape[1] != b.shape[0]:
             raise ValueError(f"dimension mismatch: {a.shape} @ {b.shape}")
@@ -480,8 +613,7 @@ class PrimeField(Field):
         return out
 
     def matmul(self, a, b):
-        a, b, lead = _product_shapes(np.asarray(a, dtype=self.dtype),
-                                     np.asarray(b, dtype=self.dtype))
+        a, b, lead = _product_shapes(a, b, self.dtype)
         if a.shape[-1] == 0:
             return np.zeros(lead + (a.shape[-2], b.shape[-1]), dtype=self.dtype)
         # entries < 2^16 and inner dim < 2^31, so int64 products cannot overflow

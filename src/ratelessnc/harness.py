@@ -18,7 +18,11 @@ for the batch.  So is each draw: the batch's generators, a (seed, t)
 stream and a secret stream per trial, are held in two
 ``field.GeneratorStack``s, which buffer their PCG64 output words and map
 them to every trial's symbols in one step, as ``Generator.integers``
-would.  The trials of a batch must take every branch together (they may
+would.  Both stacks are seeded by ``GeneratorStack.seeded`` from the
+entropy rows ``[seed, t]`` and ``[seed, t, _SECRET_STREAM]``, hashed for
+all trials in one pass exactly as ``np.random.default_rng`` hashes each
+(``run_trial`` keeps ``default_rng``), so a batch makes no ``Generator``
+or ``SeedSequence`` per trial.  The trials of a batch must take every branch together (they may
 swap rows each on its own).  When one would not (another pivot column,
 solve round or status, transfer-matrix verdict, or a draw numpy would
 reject and redraw), the batch is evicted before it does: every trial of
@@ -420,7 +424,7 @@ def _session(cfg: ExperimentConfig, field: Field, trials, long_channel):
     ``run_session`` returns them."""
     def generators(*stream):
         if isinstance(trials, list):
-            return GeneratorStack([np.random.default_rng([cfg.seed, t, *stream]) for t in trials])
+            return GeneratorStack.seeded([[cfg.seed, t, *stream] for t in trials])
         return np.random.default_rng([cfg.seed, trials, *stream])
 
     rng = generators()

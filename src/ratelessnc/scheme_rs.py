@@ -366,7 +366,8 @@ class RsSinkState:
             return None  # trailing identity image degenerate this stage
         chosen = [c - ident_cols for c in pivots[ident_cols:]]
         rest = sorted(set(range(scan_limit)) - set(chosen))
-        return rref.shape[-2], chosen, rest, rref[..., [ident_cols + c for c in rest]]
+        return (rref.shape[-2], chosen, rest,
+                np.take(rref, [ident_cols + c for c in rest], axis=-1))
 
     def build_key_equation(self) -> KeyEquation | None:
         """Read both column bases off the kept bases and collect the key
@@ -450,15 +451,16 @@ class RsSinkState:
             # D_b vec(X_a F_z) is one F_z product over D_b's columns
             # regrouped by X_b column; the rows are evaluated at their
             # points with their columns in the unknowns' order
-            d = (linalg.vandermonde(f, ke.points[..., rows], nb)[..., ke.xperm, :]
-                 .swapaxes(-1, -2))
+            d = np.take(linalg.vandermonde(f, np.take(ke.points, rows, axis=-1), nb),
+                        ke.xperm, axis=-2).swapaxes(-1, -2)
             d_a, d_b = d[..., :theta_a], d[..., theta_a:]
             cnt = d.shape[-2]
             d_b_fz = f.matmul(ke.f_z, d_b.reshape(lead + (cnt, ke.beta, b)).swapaxes(-3, -2)
                               .reshape(lead + (ke.beta, cnt * b)))
             a_x = f.add(d_a, d_b_fz.reshape(lead + (r - b, cnt, b)).swapaxes(-3, -2)
                         .reshape(lead + (cnt, theta_a)))
-            c = f.sub(ke.targets[..., rows], f.matmul(d_b, f_x_vec[..., None])[..., 0])
+            c = f.sub(np.take(ke.targets, rows, axis=-1),
+                      f.matmul(d_b, f_x_vec[..., None])[..., 0])
             return np.concatenate([f.neg(a_x), c[..., None]], axis=-1)
 
         g = min(gamma, -(-2 * theta_a // isig))

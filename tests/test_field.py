@@ -1,3 +1,5 @@
+import collections
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -181,6 +183,65 @@ def test_stacked_draws_equal_numpy_draws(name):
         got = f.sample(stack, shape)
         assert got.dtype == np.int64 and got.shape == want.shape
         assert np.array_equal(got, want), shape
+
+
+# SeedSequence entropy rows of 1 to 6 uint32 words: seeds past one and two
+# words, t = 0 and t > 0, with and without the secret stream's word
+_SEED_ROWS = [[seed, t, *stream] for seed in (0, 7, (1 << 32) + 5, (1 << 64) + 3)
+              for t in (0, 3) for stream in ((), (0x5EC,))] + [[9], [(1 << 64) + 3, 1 << 32, 8]]
+
+
+def _rows_by_width():
+    """The rows of ``_SEED_ROWS`` grouped by their number of uint32 words."""
+    groups = collections.defaultdict(list)
+    for row in _SEED_ROWS:
+        groups[field._entropy_words([row]).shape[1]].append(row)
+    return groups
+
+
+def test_seeded_states_equal_numpy_seed_sequence():
+    # the one-pass hash of every row is numpy's SeedSequence hash of it
+    groups = _rows_by_width()
+    assert sorted(groups) == [1, 2, 3, 4, 5, 6]
+    for rows in groups.values():
+        words = field._entropy_words(rows)
+        assert words.dtype == np.uint32
+        got = field._seed_states(words)
+        assert got.dtype == np.uint64 and got.shape == (len(rows), 4)
+        for row, state in zip(rows, got):
+            assert np.array_equal(state, np.random.SeedSequence(row).generate_state(4, np.uint64)), row
+
+
+@pytest.mark.parametrize("name", ["gf2_4", "gf2_16", "prime7", "prime65521"])
+def test_seeded_stack_draws_equal_default_rng_draws(name):
+    # a seeded stack draws, row by row and call after call, what
+    # default_rng(row) draws, over the shapes of the stacked-draw test
+    f = get_field(name)
+    for rows in _rows_by_width().values():
+        stack = GeneratorStack.seeded(rows)
+        alone = [np.random.default_rng(row) for row in rows]
+        assert len(stack) == len(rows)
+        for shape in (None, (0, 3), 3, (1, 5), (), 2 * field._REFILL + 1, (2, 2), 1, None):
+            want = np.stack([g.integers(0, f.q, size=shape, dtype=np.int64) for g in alone])
+            assert np.array_equal(f.sample(stack, shape), want), (rows, shape)
+
+
+def test_seeded_stack_rejects_what_numpy_rejects():
+    with pytest.raises(ValueError, match="same number"):
+        GeneratorStack.seeded([[7, 1], [7, 1 << 32]])
+    with pytest.raises(ValueError, match="same number"):
+        GeneratorStack.seeded([[7, 1], [7, 1, 0x5EC]])
+    for row in ([7, -1], [7, 1.0], [np.float64(2)]):
+        with pytest.raises(type(_numpy_error(row))):
+            GeneratorStack.seeded([row])
+
+
+def _numpy_error(row):
+    try:
+        np.random.SeedSequence(row)
+    except (TypeError, ValueError) as exc:
+        return exc
+    raise AssertionError(f"numpy takes {row}")
 
 
 def _halves(words):

@@ -578,20 +578,52 @@ def test_lockstep_makes_no_numpy_relayout_helpers(monkeypatch):
     assert all(w is seen for w, seen in decoded)
 
 
+def _batch_not_outermost(a) -> bool:
+    """Whether ``a`` is a stack (not broadcast along its batch axis) whose
+    batch axis does not have the largest stride of its axes longer than
+    one, as a stacked ``x[..., list]`` selection, or arithmetic on one,
+    lays it out (the picked axis outermost, the batch axis middle or
+    innermost)."""
+    if not isinstance(a, np.ndarray) or a.ndim != 3 or not a.strides[0]:
+        return False
+    return any(abs(s) > abs(a.strides[0]) for n, s in zip(a.shape[1:], a.strides[1:]) if n > 1)
+
+
 def test_lockstep_pays_each_kernel_call_once_per_batch(monkeypatch):
     # a batch makes each product, each pivot and each draw once for all
     # of its sessions: 50 sessions cost as many calls as 10, and every
-    # draw reads the batch's GeneratorStack, never one session's Generator
+    # draw reads the batch's GeneratorStack, never one session's Generator.
+    # Seeding the batch builds no Generator or SeedSequence per session
+    # (nor does a PCG64 of the batch hash one of its own), and every stack
+    # reaches a product with its batch axis outermost in memory
     field = get_field("gf2_16")
+    real_default_rng, real_seed_sequence = np.random.default_rng, np.random.SeedSequence
     counts = collections.Counter()
-    for name in ("matmul", "pivot_step", "sample"):
+    for name in ("matmul", "mul", "pivot_step", "sample"):
         def counted(*args, _name=name, _real=getattr(field, name)):
             counts[_name] += 1
             if _name == "sample" and isinstance(args[0], np.random.Generator):
                 counts["sample from a Generator"] += 1
+            if _name == "sample" and any(isinstance(b.seed_seq, real_seed_sequence)
+                                         for b in getattr(args[0], "_bits", ())):
+                counts["SeedSequence"] += 1
+            if _name in ("matmul", "mul") and any(map(_batch_not_outermost, args)):
+                counts["batch axis not outermost"] += 1
             return _real(*args)
 
         monkeypatch.setitem(vars(field), name, counted)
+
+    def default_rng(*args, **kwargs):
+        counts["default_rng"] += 1
+        return real_default_rng(*args, **kwargs)
+
+    class SeedSequence(real_seed_sequence):
+        def __init__(self, *args, **kwargs):
+            counts["SeedSequence"] += 1
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", default_rng)
+    monkeypatch.setattr(np.random, "SeedSequence", SeedSequence)
     seen = {}
     for trials in (10, 50):
         counts.clear()
@@ -604,6 +636,10 @@ def test_lockstep_pays_each_kernel_call_once_per_batch(monkeypatch):
     assert seen[10] == seen[50]
     assert seen[10]["matmul"] > 0 and seen[10]["pivot_step"] > 0 and seen[10]["sample"] > 0
     assert "sample from a Generator" not in seen[10]
+    for trials in (10, 50):
+        assert seen[trials].get("default_rng", 0) == 0
+        assert seen[trials].get("SeedSequence", 0) == 0
+        assert seen[trials].get("batch axis not outermost", 0) == 0
 
 
 def test_l_entry_map_built_once_and_read_only():
